@@ -3,8 +3,8 @@
 Every value carries its working precision in bits (mantissa width, >= 64);
 arithmetic between two values runs at the larger of their precisions, with
 round-to-nearest-even.  The heavy lifting is done by mpmath's low-level libmp
-kernels (gmpy-backed where available), bypassing the global mpmath context so
-precision is always per-value, never shared mutable state.
+kernels (on gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND),
+bypassing the global mpmath context: precision is per-value, never shared.
 
 The error model is a guard-bit budget, not interval arithmetic: elementary
 functions are good to ~1 ulp and a pipeline of k rounded operations is trusted

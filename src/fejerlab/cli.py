@@ -76,36 +76,25 @@ def _emit(obj: dict, mode: str, text: str) -> None:
 
 
 def _knot_params(args) -> dict:
-    params: dict = {}
     if args.family == "gauss_jacobi":
-        params["alpha"] = args.alpha if args.alpha is not None else Fraction(0)
-        params["beta"] = args.beta if args.beta is not None else Fraction(0)
+        return {"alpha": args.alpha, "beta": args.beta}
     if args.family == "equispaced":
-        params["a"] = args.a
-        params["b"] = args.b
-    return params
+        return {"a": args.a, "b": args.b}
+    return {}
 
 
-def _sweep_n(args, minimum: int, step: int = 1) -> list[int]:
+def _n_values(args, odd: bool = False) -> list[int]:
+    """[--n], or every n from 2 (odd: every odd n from 3) up to --n-max."""
     if (args.n is None) == (args.n_max is None):
         raise UsageError("give exactly one of --n / --n-max")
-    if args.n is not None:
-        return [args.n]
-    if args.n_max < minimum:
-        raise UsageError(f"--n-max must be >= {minimum}")
-    return list(range(minimum, args.n_max + 1, step))
-
-
-def _odd_sweep(args) -> list[int]:
-    if (args.n is None) == (args.n_max is None):
-        raise UsageError("give exactly one of --n / --n-max")
-    if args.n is not None:
-        if args.n < 3 or args.n % 2 == 0:
-            raise UsageError(f"n must be odd and >= 3, got {args.n}")
-        return [args.n]
-    if args.n_max < 3:
-        raise UsageError("--n-max must be >= 3")
-    return list(range(3, args.n_max + 1, 2))
+    first = 3 if odd else 2
+    if args.n is None:
+        if args.n_max < first:
+            raise UsageError(f"--n-max must be >= {first}")
+        return list(range(first, args.n_max + 1, 2 if odd else 1))
+    if odd and (args.n < 3 or args.n % 2 == 0):
+        raise UsageError(f"n must be odd and >= 3, got {args.n}")
+    return [args.n]
 
 
 def _cmd_knots(args) -> int:
@@ -128,7 +117,7 @@ def _cmd_verify_eq1(args) -> int:
     y0_list = args.y0 or [Fraction(0)]
     params = _knot_params(args)
     all_pass = True
-    for n in _sweep_n(args, minimum=2):
+    for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
         for p in range(1, args.p_max + 1):
             for y0 in y0_list:
@@ -157,7 +146,7 @@ def _cmd_verify_eq1(args) -> int:
 
 def _cmd_verify_identity(args) -> int:
     all_hold = True
-    for n in _odd_sweep(args):
+    for n in _n_values(args, odd=True):
         report = verify_cosecant_sum(n)
         all_hold &= report.holds
         obj = {
@@ -177,7 +166,7 @@ def _cmd_verify_identity(args) -> int:
 def _cmd_power_sum(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    for n in _odd_sweep(args):
+    for n in _n_values(args, odd=True):
         value = inverse_power_sum(n, args.m)
         obj = {"n": n, "m": args.m, "value": format_rational(value)}
         _emit(obj, args.output, f"PS({args.m},{n}) = {obj['value']}")
@@ -251,18 +240,9 @@ def build_parser(default_precision: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--precision-bits", type=int, default=default_precision)
-        p.add_argument("--output", choices=("json", "text"), default="json")
-
     p_knots = sub.add_parser("knots", help="generate a knot set")
     p_knots.add_argument("--family", choices=FAMILIES, required=True)
     p_knots.add_argument("--n", type=int, required=True)
-    p_knots.add_argument("--alpha", type=_fraction)
-    p_knots.add_argument("--beta", type=_fraction)
-    p_knots.add_argument("--a", type=_fraction, default=Fraction(-1))
-    p_knots.add_argument("--b", type=_fraction, default=Fraction(1))
-    common(p_knots)
 
     p_eq1 = sub.add_parser("verify-eq1", help="check the vanishing derivative sums")
     p_eq1.add_argument("--family", choices=FAMILIES, default="chebyshev1")
@@ -270,22 +250,15 @@ def build_parser(default_precision: int) -> argparse.ArgumentParser:
     p_eq1.add_argument("--n-max", type=int)
     p_eq1.add_argument("--p-max", type=int, default=2)
     p_eq1.add_argument("--y0", type=_fraction, action="append")
-    p_eq1.add_argument("--alpha", type=_fraction)
-    p_eq1.add_argument("--beta", type=_fraction)
-    p_eq1.add_argument("--a", type=_fraction, default=Fraction(-1))
-    p_eq1.add_argument("--b", type=_fraction, default=Fraction(1))
-    common(p_eq1)
 
     p_id = sub.add_parser("verify-identity", help="check the cosecant sum exactly")
     p_id.add_argument("--n", type=int)
     p_id.add_argument("--n-max", type=int)
-    common(p_id)
 
     p_ps = sub.add_parser("power-sum", help="exact inverse power sums")
     p_ps.add_argument("--m", type=int, default=1)
     p_ps.add_argument("--n", type=int)
     p_ps.add_argument("--n-max", type=int)
-    common(p_ps)
 
     p_conj = sub.add_parser("conjecture", help="fit formulas / recognize rationals")
     p_conj.add_argument("--m", type=int)
@@ -295,13 +268,18 @@ def build_parser(default_precision: int) -> argparse.ArgumentParser:
     p_conj.add_argument("--p", type=int)
     p_conj.add_argument("--y0", type=_fraction, action="append")
     p_conj.add_argument("--n-list", type=_int_list)
-    p_conj.add_argument("--alpha", type=_fraction)
-    p_conj.add_argument("--beta", type=_fraction)
-    p_conj.add_argument("--a", type=_fraction, default=Fraction(-1))
-    p_conj.add_argument("--b", type=_fraction, default=Fraction(1))
-    p_conj.add_argument("--max-denominator", type=int, default=10 ** 6)
-    common(p_conj)
 
+    # Options shared by several subcommands, declared once.  They follow each
+    # subcommand's own options, which fixes their place in its --help.
+    for p in (p_knots, p_eq1, p_conj):
+        p.add_argument("--alpha", type=_fraction, default=Fraction(0))
+        p.add_argument("--beta", type=_fraction, default=Fraction(0))
+        p.add_argument("--a", type=_fraction, default=Fraction(-1))
+        p.add_argument("--b", type=_fraction, default=Fraction(1))
+    p_conj.add_argument("--max-denominator", type=int, default=10 ** 6)
+    for p in sub.choices.values():
+        p.add_argument("--precision-bits", type=int, default=default_precision)
+        p.add_argument("--output", choices=("json", "text"), default="json")
     return parser
 
 

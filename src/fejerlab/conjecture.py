@@ -113,15 +113,15 @@ def _convergents(value: Fraction):
 def rational_reconstruct(
     x: ApFloat,
     max_denominator: int,
-    recompute: Callable[[int], ApFloat] | None = None,
+    recompute: Callable[[int], ApFloat],
 ) -> Recognition:
     """Recognize x as a rational with denominator <= max_denominator.
 
     Acceptance takes the first convergent within 2^(-precision_bits/2) of x.
-    Confirmation recomputes the source quantity at doubled precision via the
-    recompute callable (defaulting to x itself, exact in binary) and requires
-    the candidate to re-match within 2^(-precision_bits) relative.  Failing
-    either gate yields candidate None.
+    Confirmation calls recompute(2 * precision_bits) to rebuild the source
+    quantity at doubled precision and requires the candidate to re-match
+    within 2^(-precision_bits) relative.  Failing either gate yields
+    candidate None.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
@@ -138,7 +138,7 @@ def rational_reconstruct(
     if candidate is None:
         return Recognition(input=x, candidate=None, confirmed_at_bits=None)
     confirm_bits = 2 * prec
-    recomputed = recompute(confirm_bits) if recompute is not None else x
+    recomputed = recompute(confirm_bits)
     gap = abs(recomputed.to_fraction() - candidate)
     if gap > Fraction(1, 2 ** prec) * max(Fraction(1), abs(candidate)):
         return Recognition(input=x, candidate=None, confirmed_at_bits=None)

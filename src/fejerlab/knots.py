@@ -10,6 +10,7 @@ bracket.  No external root finder is involved.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -255,44 +256,47 @@ def _polish_root(eval_kd, seed, lo, hi, threshold, wp):
     raise ConvergenceFailure("Newton iteration exceeded its step cap")
 
 
-# Ladder cache: (alpha, beta, wp, threshold_exp) -> mutable state that only
-# ever grows.  Entries are extended idempotently, so concurrent use is safe.
+# Ladder cache: (alpha, beta, wp, threshold_exp) -> state that only ever grows.
+# Extension runs under the lock (two threads would each read a stage the other
+# has yet to append); the stage tuple a caller gets back is never mutated.
 _LADDERS: dict = {}
+_LADDER_LOCK = threading.Lock()
 
 
 def _jacobi_root_ladder(alpha: Fraction, beta: Fraction, n: int, wp: int, threshold_exp: int):
     """Roots of P_k for k = 1..n (raw, ascending per stage), built by interlacing."""
     key = (alpha, beta, wp, threshold_exp)
-    state = _LADDERS.get(key)
-    if state is None:
-        r1 = _raw_coeff((beta - alpha) / (alpha + beta + 2), wp)
-        state = {
-            "lin": tuple(_raw_coeff(c, wp) for c in _jacobi_linear_coeffs(alpha, beta)),
-            "steps": [],
-            "stages": [(r1,)],
-        }
-        _LADDERS[key] = state
-    threshold = mpf_shift(fone, threshold_exp)
-    while len(state["stages"]) < n:
-        k = len(state["stages"]) + 1
-        while len(state["steps"]) < k - 1:
-            j = len(state["steps"]) + 2
-            state["steps"].append(
-                tuple(_raw_coeff(c, wp) for c in _jacobi_step_coeffs(alpha, beta, j))
+    with _LADDER_LOCK:
+        state = _LADDERS.get(key)
+        if state is None:
+            r1 = _raw_coeff((beta - alpha) / (alpha + beta + 2), wp)
+            state = {
+                "lin": tuple(_raw_coeff(c, wp) for c in _jacobi_linear_coeffs(alpha, beta)),
+                "steps": [],
+                "stages": ((r1,),),
+            }
+            _LADDERS[key] = state
+        threshold = mpf_shift(fone, threshold_exp)
+        while len(state["stages"]) < n:
+            k = len(state["stages"]) + 1
+            while len(state["steps"]) < k - 1:
+                j = len(state["steps"]) + 2
+                state["steps"].append(
+                    tuple(_raw_coeff(c, wp) for c in _jacobi_step_coeffs(alpha, beta, j))
+                )
+            steps, lin = state["steps"], state["lin"]
+
+            def eval_kd(x, _k=k):
+                return _jacobi_value_derivative(steps, lin, _k, x, wp)
+
+            brackets = [fnone, *state["stages"][-1], fone]
+            seeds = _chebyshev_seeds(k, wp)
+            roots = tuple(
+                _polish_root(eval_kd, seeds[i], brackets[i], brackets[i + 1], threshold, wp)
+                for i in range(k)
             )
-        steps, lin = state["steps"], state["lin"]
-
-        def eval_kd(x, _k=k):
-            return _jacobi_value_derivative(steps, lin, _k, x, wp)
-
-        brackets = [fnone, *state["stages"][-1], fone]
-        seeds = _chebyshev_seeds(k, wp)
-        roots = tuple(
-            _polish_root(eval_kd, seeds[i], brackets[i], brackets[i + 1], threshold, wp)
-            for i in range(k)
-        )
-        state["stages"].append(roots)
-    return state["stages"]
+            state["stages"] += (roots,)
+        return state["stages"]
 
 
 def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:

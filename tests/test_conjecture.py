@@ -56,31 +56,48 @@ class TestPowerFormula:
             conjecture_power_formula(1, [3, 4, 5], [7, 9])
 
 
+def exact(q):
+    """An honest recompute for an exactly known rational source quantity."""
+    return lambda bits: to_apfloat(q, bits)
+
+
 class TestRationalReconstruct:
     def test_exact_rational_input_confirmed(self):
-        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 10 ** 6)
+        asked = []
+
+        def recompute(bits):
+            asked.append(bits)
+            return to_apfloat(F(8, 3), bits)
+
+        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 10 ** 6, recompute)
         assert rec.candidate == F(8, 3)
         assert rec.confirmed_at_bits == 512
+        assert asked == [512]
+
+    def test_recompute_is_required(self):
+        with pytest.raises(TypeError):
+            rational_reconstruct(to_apfloat(F(8, 3), 256), 10 ** 6)
 
     def test_pi_yields_nothing(self):
-        rec = rational_reconstruct(pi(256), 10 ** 6)
+        rec = rational_reconstruct(pi(256), 10 ** 6, pi)
         assert rec.candidate is None and rec.confirmed_at_bits is None
 
     def test_large_rational(self):
         # (99^2 - 1)/3 = 9800/3
-        rec = rational_reconstruct(to_apfloat(F(99 ** 2 - 1, 3), 256), 10 ** 6)
+        q = F(99 ** 2 - 1, 3)
+        rec = rational_reconstruct(to_apfloat(q, 256), 10 ** 6, exact(q))
         assert rec.candidate == F(9800, 3)
 
     def test_denominator_cap_respected(self):
-        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 2)
+        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 2, exact(F(8, 3)))
         assert rec.candidate is None
 
     def test_negative_value(self):
-        rec = rational_reconstruct(to_apfloat(F(-16, 3), 256), 10 ** 6)
+        rec = rational_reconstruct(to_apfloat(F(-16, 3), 256), 10 ** 6, exact(F(-16, 3)))
         assert rec.candidate == F(-16, 3)
 
     def test_zero(self):
-        rec = rational_reconstruct(ApFloat(0, 256), 10 ** 6)
+        rec = rational_reconstruct(ApFloat(0, 256), 10 ** 6, exact(F(0)))
         assert rec.candidate == 0
 
     def test_failed_confirmation_clears_candidate(self):

@@ -268,13 +268,48 @@ class TestDerivativeSum:
         for i in range(n):
             assert abs(terms[i] - terms[n - 1 - i]) <= tol
 
-    def test_derivative_ladder_is_cached(self):
+    def test_repeated_calls_are_deterministic(self):
         basis = hermite_fejer_basis(chebyshev1_knots(4, BITS))
-        derivative_sum(basis, 3, ApFloat(0, BITS))
-        assert set(basis._deriv) == {0, 1, 2, 3}
-        r1, _ = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
-        r2, _ = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
-        assert r1 == r2
+        r1, t1 = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
+        r2, t2 = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
+        assert r1 == r2 and t1 == t2
+
+    def test_jet_builds_no_dense_polynomial(self, monkeypatch):
+        products = []
+        original = NumPoly.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(NumPoly, "__mul__", counting_mul)
+        basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
+        for p in (1, 4, 17, 18):
+            derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
+        interpolate(basis, list(basis.knots.points), to_apfloat(F(-2), BITS))
+        assert not products
+        assert "h" not in vars(basis)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 17])
+    @pytest.mark.parametrize(
+        "family,kwargs",
+        [
+            ("chebyshev1", {}),
+            ("chebyshev2", {}),
+            ("equispaced", {}),
+            ("gauss_jacobi", {"alpha": F(1, 3), "beta": F(1, 5)}),
+        ],
+    )
+    def test_jet_terms_match_dense_derivatives(self, family, kwargs, n):
+        # the dense h_i, differentiated by coefficient shifting, are the reference
+        basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
+        knot = basis.knots.points[n // 3]
+        for y0 in (knot, to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
+            for p in range(1, 2 * n + 2):
+                _, terms = derivative_sum(basis, p, y0)
+                dense = [h.derivative(p).evaluate(y0) for h in basis.h]
+                tol = scaled_tolerance(terms + dense, BITS)
+                assert all(abs(t - e) <= tol for t, e in zip(terms, dense)), (p, y0)
 
 
 class TestScaledTolerance:

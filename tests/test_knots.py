@@ -1,5 +1,7 @@
 """Knot generators: closed-form values, interlacing, symmetry, and the
 finite-difference oracle for the Jacobi recurrence."""
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +175,32 @@ class TestGaussJacobi:
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             gauss_jacobi_knots(3, F(-3, 2), F(0), BITS)
+
+    def test_concurrent_ladder_extension(self, monkeypatch):
+        # four threads race to build one cold ladder; none may see a stage
+        # another has not finished
+        monkeypatch.setattr(knots_mod, "_LADDERS", {})
+        results, errors = [], []
+
+        def build():
+            try:
+                results.append(gauss_jacobi_knots(30, F(1, 3), F(1, 5), 128).points)
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 4 and all(r == results[0] for r in results)
 
 
 class TestKnotSetGuards:
