@@ -45,7 +45,6 @@ from .knots import (
 )
 from .ratpoly import (
     DuplicateAbscissa,
-    NotDivisible,
     NotOdd,
     RatPoly,
     X,
@@ -70,7 +69,6 @@ __all__ = [
     "KnotSet",
     "KnotSpacingError",
     "LengthMismatch",
-    "NotDivisible",
     "NotOdd",
     "NumPoly",
     "RatPoly",

@@ -353,11 +353,6 @@ class NumPoly:
             acc = mpf_add(mpf_mul(acc, x.raw, prec, _RND), c, prec, _RND)
         return ApFloat(acc, prec)
 
-    def at_precision(self, precision_bits: int) -> "NumPoly":
-        """Re-round every coefficient to a new shared precision."""
-        prec = _check_precision(precision_bits)
-        return NumPoly([mpf_pos(c, prec, _RND) for c in self._raw], prec)
-
     def __repr__(self) -> str:
         cs = ", ".join(str(self.coefficient(k)) for k in range(len(self._raw)))
         return f"NumPoly([{cs}], {self.precision_bits})"

@@ -11,7 +11,10 @@ Subcommands:
 
 Output is JSON lines by default (one object per check, streamed in sweep
 order) and is byte-identical across runs for identical argv.  Exit status: 0
-when every performed check passed, 1 when any failed, 2 on usage errors.
+when every performed check passed, 1 when any failed, 2 on usage errors, 3
+on a numeric failure (a root iteration that did not converge, or knots too
+close for the working precision); errors go to stderr as one "error: ..."
+line.
 The default precision is 256 bits, overridable by the FEJERLAB_PRECISION_BITS
 environment variable and per-run by --precision-bits.
 """
@@ -27,7 +30,7 @@ from . import conjecture as conj
 from .apnum import MIN_PRECISION_BITS, ApFloat
 from .hermite import derivative_sum, hermite_fejer_basis, scaled_tolerance
 from .identities import inverse_power_sum, verify_cosecant_sum
-from .knots import make_knots
+from .knots import ConvergenceFailure, KnotSpacingError, make_knots
 from .ratpoly import format_rational
 
 PRECISION_ENV_VAR = "FEJERLAB_PRECISION_BITS"
@@ -303,6 +306,9 @@ def main(argv=None) -> int:
         if args.precision_bits < MIN_PRECISION_BITS:
             raise UsageError(f"--precision-bits must be >= {MIN_PRECISION_BITS}")
         return _COMMANDS[args.subcommand](args)
+    except (ConvergenceFailure, KnotSpacingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ Two tools, both deliberately conservative:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -190,13 +191,9 @@ def explore_knot_family(
     y0_exact = y0.to_fraction()
     findings: list[Recognition] = []
     for n in n_list:
-        def recompute_rest(bits: int, _n=n) -> ApFloat:
-            return _aggregate_terms(family, params, p, y0_exact, _n, bits)[0]
-
-        def recompute_nearest(bits: int, _n=n) -> ApFloat:
-            return _aggregate_terms(family, params, p, y0_exact, _n, bits)[1]
-
-        rest, nearest = _aggregate_terms(family, params, p, y0_exact, n, precision_bits)
-        findings.append(rational_reconstruct(rest, max_denominator, recompute_rest))
-        findings.append(rational_reconstruct(nearest, max_denominator, recompute_nearest))
+        # Both parts confirm at the same doubled precision: build it once.
+        parts = functools.cache(functools.partial(_aggregate_terms, family, params, p, y0_exact, n))
+        rest, nearest = parts(precision_bits)
+        findings.append(rational_reconstruct(rest, max_denominator, lambda bits: parts(bits)[0]))
+        findings.append(rational_reconstruct(nearest, max_denominator, lambda bits: parts(bits)[1]))
     return findings

@@ -15,13 +15,17 @@ The same machinery reproduces, exactly, the second-derivative balance behind
 (E2): on Chebyshev knots of the first kind the fundamental polynomials have
 h_i''(0) = 2 / x_i^2 off center and h_mid''(0) = (2/3)(1 - n^2) at the middle
 knot, and these cancel because sum_i h_i''(0) = 0.
+
+Nothing here multiplies polynomials.  T_n comes from its coefficient ratio
+in O(n) integer steps, Newton's identities read only e_1..e_m of the reversed
+W, and h_mid''(0) is read off two coefficients of T_n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatPoly, X, NotOdd, chebyshev_T, newton_power_sums
+from .ratpoly import RatPoly, NotOdd, chebyshev_T, newton_power_sums
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,13 @@ def midpoint_second_derivative(n: int) -> Fraction:
     """h_mid''(0) for the middle Chebyshev knot, exactly.
 
     The middle knot of an odd-n Chebyshev set sits at 0, so the closed form
-    collapses to h_mid = (1/n^2) [T_n(x)/x]^2, and the second derivative at 0
-    comes out of exact polynomial algebra.  Equals (2/3)(1 - n^2).
+    collapses to h_mid = (1/n^2) [T_n(x)/x]^2.  With c_j the coefficients of
+    T_n, T_n(x)/x = c_1 + c_3 x^2 + O(x^4), so h_mid = (c_1^2 + 2 c_1 c_3 x^2
+    + O(x^4)) / n^2 and h_mid''(0) = 4 c_1 c_3 / n^2.  Equals (2/3)(1 - n^2).
     """
     _check_odd(n)
-    quotient = chebyshev_T(n).divexact(X)
-    h_mid = (quotient * quotient) * Fraction(1, n * n)
-    return h_mid.derivative(2).evaluate(0)
+    c = chebyshev_T(n).coeffs
+    return Fraction(4 * c[1] * c[3], n * n)
 
 
 def second_derivative_balance(n: int) -> tuple[Fraction, Fraction]:

@@ -256,9 +256,12 @@ def _polish_root(eval_kd, seed, lo, hi, threshold, wp):
     raise ConvergenceFailure("Newton iteration exceeded its step cap")
 
 
-# Ladder cache: (alpha, beta, wp, threshold_exp) -> state that only ever grows.
-# Extension runs under the lock (two threads would each read a stage the other
-# has yet to append); the stage tuple a caller gets back is never mutated.
+# Ladder cache: (alpha, beta, wp, threshold_exp) -> state whose stages only
+# grow.  The dict keeps the _LADDER_CAP most recently used ladders in use
+# order, oldest first, and evicts the oldest past the cap.  Lookup, eviction
+# and extension run under the lock (two threads would each read a stage the
+# other has yet to append); the stage tuple a caller gets back is never mutated.
+_LADDER_CAP = 64
 _LADDERS: dict = {}
 _LADDER_LOCK = threading.Lock()
 
@@ -267,7 +270,7 @@ def _jacobi_root_ladder(alpha: Fraction, beta: Fraction, n: int, wp: int, thresh
     """Roots of P_k for k = 1..n (raw, ascending per stage), built by interlacing."""
     key = (alpha, beta, wp, threshold_exp)
     with _LADDER_LOCK:
-        state = _LADDERS.get(key)
+        state = _LADDERS.pop(key, None)
         if state is None:
             r1 = _raw_coeff((beta - alpha) / (alpha + beta + 2), wp)
             state = {
@@ -275,7 +278,9 @@ def _jacobi_root_ladder(alpha: Fraction, beta: Fraction, n: int, wp: int, thresh
                 "steps": [],
                 "stages": ((r1,),),
             }
-            _LADDERS[key] = state
+        _LADDERS[key] = state
+        if len(_LADDERS) > _LADDER_CAP:
+            del _LADDERS[next(iter(_LADDERS))]
         threshold = mpf_shift(fone, threshold_exp)
         while len(state["stages"]) < n:
             k = len(state["stages"]) + 1

@@ -13,10 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-class NotDivisible(ValueError):
-    """Polynomial division left a nonzero remainder."""
-
-
 class NotOdd(ValueError):
     """A polynomial (or an integer parameter) required to be odd is not."""
 
@@ -128,33 +124,6 @@ class RatPoly:
             [self.coeffs[k + p] * math.perm(k + p, p) for k in range(len(self.coeffs) - p)]
         )
 
-    def divexact(self, den: RatPoly) -> RatPoly:
-        """Exact quotient self / den; raises NotDivisible on nonzero remainder.
-
-        >>> RatPoly([0, -3, 0, 4]).divexact(RatPoly([0, 1]))
-        RatPoly('4x^2 - 3')
-        """
-        if den.is_zero():
-            raise ValueError("division by the zero polynomial")
-        if self.is_zero():
-            return RatPoly()
-        dd = den.degree
-        if self.degree < dd:
-            raise NotDivisible(f"degree {self.degree} < divisor degree {dd}")
-        rem = list(self.coeffs)
-        lead = den.coeffs[-1]
-        qd = self.degree - dd
-        quot = [Fraction(0)] * (qd + 1)
-        for k in range(qd, -1, -1):
-            t = rem[k + dd] / lead
-            if t != 0:
-                quot[k] = t
-                for j in range(dd + 1):
-                    rem[k + j] -= t * den.coeffs[j]
-        if any(rem[:dd]):
-            raise NotDivisible("nonzero polynomial remainder")
-        return RatPoly(quot)
-
     def odd_part(self) -> RatPoly:
         """Return W with self(x) = x * W(x^2).
 
@@ -197,23 +166,29 @@ X = RatPoly([0, 1])
 
 
 def chebyshev_T(n: int) -> RatPoly:
-    """Chebyshev polynomial of the first kind, by the three-term recurrence.
+    """Chebyshev polynomial of the first kind, written top-down from c_n.
 
-    T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}; integer coefficients,
-    degree n, leading coefficient 2^(n-1) for n >= 1.
+    The power-form coefficients c_j of T_n obey the two-term ratio
+
+        c_n = 2^(n-1),   c_{n-2k-2} = -c_{n-2k} (n-2k)(n-2k-1) / (4(k+1)(n-k-1))
+
+    (Mason & Handscomb, *Chebyshev Polynomials*, 2003), and every c_j with
+    j of the other parity from n is 0.  Each c_j is an integer, so every
+    division is exact in integers; the tests check the result against the
+    three-term recurrence T_{k+1} = 2x T_k - T_{k-1}.  No T_k with k < n is
+    built.  T_0 = 1.
     """
     if n < 0:
         raise ValueError("chebyshev_T needs n >= 0")
     if n == 0:
         return RatPoly([1])
-    # Run the recurrence on plain ints; wrap in Fractions once at the end.
-    prev, cur = [1], [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        prev, cur = cur, nxt
-    return RatPoly(cur)
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = 1 << (n - 1)
+    for k in range(n // 2):
+        j = n - 2 * k
+        c = -c * j * (j - 1) // (4 * (k + 1) * (n - k - 1))
+        coeffs[j - 2] = c
+    return RatPoly(coeffs)
 
 
 def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
@@ -232,7 +207,8 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
     if d < 1:
         raise ValueError("need a nonzero polynomial of degree >= 1")
     lead = a.coeffs[-1]
-    e = [Fraction(1)] + [(-1) ** i * a.coeffs[d - i] / lead for i in range(1, d + 1)]
+    # p_1..p_{m_max} read e_i only for i <= m_max.
+    e = [Fraction(1)] + [(-1) ** i * a.coeffs[d - i] / lead for i in range(1, min(m_max, d) + 1)]
     sums: list[Fraction] = []
     for k in range(1, m_max + 1):
         acc = Fraction(0)

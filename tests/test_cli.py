@@ -4,7 +4,9 @@ import json
 from fractions import Fraction as F
 
 import fejerlab.cli as cli
+import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat
+from fejerlab.knots import KnotSpacingError
 
 
 def run(capsys, *argv):
@@ -95,6 +97,29 @@ class TestVerifyEq1:
         )
         assert code == 1
         assert json_lines(out)[0]["pass"] is False
+
+
+class TestNumericFailure:
+    def test_convergence_failure_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
+        monkeypatch.setattr(knots_mod, "_LADDERS", {})
+        code, out, err = run(
+            capsys,
+            "knots", "--family", "gauss_jacobi", "--n", "8", "--alpha", "1/7", "--beta", "2/7",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_knot_spacing_error_exits_three(self, capsys, monkeypatch):
+        def too_close(*args, **kwargs):
+            raise KnotSpacingError("knots too close")
+
+        monkeypatch.setattr(cli, "make_knots", too_close)
+        code, out, err = run(capsys, "knots", "--family", "chebyshev1", "--n", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: knots too close\n"
 
 
 class TestKnotsCommand:

@@ -1,10 +1,12 @@
 """Conjecture engine: formula fitting with exact holdout gates, continued
 fraction recognition with doubled-precision confirmation, and the knot-family
 explorer cross-checked against the exact balance."""
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import fejerlab.conjecture as conj_mod
 from fejerlab.apnum import ApFloat, pi, to_apfloat
 from fejerlab.conjecture import (
     InsufficientTrainingPoints,
@@ -153,3 +155,17 @@ class TestExploreKnotFamily:
     def test_p_validated(self):
         with pytest.raises(ValueError):
             explore_knot_family("chebyshev1", None, 0, ApFloat(0, 192), [3], 192)
+
+    def test_each_precision_builds_one_basis_per_n(self, monkeypatch):
+        builds = Counter()
+        original = conj_mod.hermite_fejer_basis
+
+        def counting(knots):
+            builds[knots.precision_bits] += 1
+            return original(knots)
+
+        monkeypatch.setattr(conj_mod, "hermite_fejer_basis", counting)
+        legendre = {"alpha": F(0), "beta": F(0)}
+        findings = explore_knot_family("gauss_jacobi", legendre, 2, ApFloat(0, 256), [3, 5], 256)
+        assert all(rec.confirmed_at_bits == 512 for rec in findings)
+        assert builds == {256: 2, 512: 2}

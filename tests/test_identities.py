@@ -115,7 +115,7 @@ class TestMidpointSecondDerivative:
         assert midpoint_second_derivative(3) == F(-16, 3)
         assert midpoint_second_derivative(5) == -16
 
-    @pytest.mark.parametrize("n", range(3, 32, 2))
+    @pytest.mark.parametrize("n", list(range(3, 32, 2)) + [1001, 2001, 4001])
     def test_closed_form(self, n):
         assert midpoint_second_derivative(n) == F(2, 3) * (1 - n * n)
 
@@ -134,7 +134,7 @@ class TestBalance:
     def test_n5(self):
         assert second_derivative_balance(5) == (16, -16)
 
-    @pytest.mark.parametrize("n", list(range(3, 32, 2)) + [99])
+    @pytest.mark.parametrize("n", list(range(3, 32, 2)) + [99, 1001, 2001, 4001])
     def test_sums_to_zero_exactly(self, n):
         off, mid = second_derivative_balance(n)
         assert off + mid == 0
@@ -148,3 +148,21 @@ class TestBalance:
         off_numeric = sum(terms[:3] + terms[4:], ApFloat(0, bits))
         off_exact, _ = second_derivative_balance(n)
         assert abs(off_numeric - to_apfloat(off_exact, bits)) <= scaled_tolerance(terms, bits)
+
+
+def test_exact_layer_multiplies_no_polynomials(monkeypatch):
+    calls = []
+    original = RatPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(RatPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(RatPoly, "__rmul__", counting_mul)
+    n = 101
+    assert verify_cosecant_sum(n).holds
+    assert inverse_power_sum(n, 3) > 0
+    off, mid = second_derivative_balance(n)
+    assert off + mid == 0
+    assert calls == []

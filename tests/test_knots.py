@@ -202,6 +202,17 @@ class TestGaussJacobi:
         assert errors == []
         assert len(results) == 4 and all(r == results[0] for r in results)
 
+    def test_ladder_cache_is_bounded_and_keeps_recent_use(self, monkeypatch):
+        monkeypatch.setattr(knots_mod, "_LADDERS", {})
+        hot = (F(1, 3), F(1, 5))
+        for i in range(100):
+            if i % 10 == 0:
+                gauss_jacobi_knots(3, *hot, 64)
+            gauss_jacobi_knots(3, F(i, 101), F(1, 2), 64)
+        assert len(knots_mod._LADDERS) <= knots_mod._LADDER_CAP == 64
+        assert hot in {key[:2] for key in knots_mod._LADDERS}
+        assert (F(0), F(1, 2)) not in {key[:2] for key in knots_mod._LADDERS}
+
 
 class TestKnotSetGuards:
     def test_minimum_gap_enforced(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fejerlab.apnum import ApFloat, NumPoly, cos, pi, pow2
 from fejerlab.ratpoly import (
     DuplicateAbscissa,
-    NotDivisible,
     NotOdd,
     RatPoly,
     X,
@@ -93,27 +92,22 @@ class TestEval:
         assert RatPoly().evaluate(F(7, 3)) == 0
 
 
-class TestDivexact:
-    def test_t3_over_x(self):
-        assert T3.divexact(X) == RatPoly([-3, 0, 4])
-
-    def test_linear_factor(self):
-        assert RatPoly([-1, 0, 1]).divexact(RatPoly([-1, 1])) == RatPoly([1, 1])
-
-    def test_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            RatPoly([1, 0, 1]).divexact(RatPoly([-1, 1]))
-
-    def test_division_by_zero_poly(self):
-        with pytest.raises(ValueError):
-            T3.divexact(RatPoly())
-
-    @given(polys(max_degree=4), polys(max_degree=3).filter(lambda p: not p.is_zero()))
-    def test_product_roundtrip(self, q, d):
-        assert (q * d).divexact(d) == q
+def chebyshev_by_recurrence(n_max):
+    """T_0..T_{n_max} as int lists, by T_{k+1} = 2x T_k - T_{k-1}."""
+    ts = [[1], [0, 1]]
+    while len(ts) <= n_max:
+        nxt = [0] + [2 * c for c in ts[-1]]
+        for k, c in enumerate(ts[-2]):
+            nxt[k] -= c
+        ts.append(nxt)
+    return ts[: n_max + 1]
 
 
 class TestChebyshev:
+    def test_matches_three_term_recurrence(self):
+        for n, ref in enumerate(chebyshev_by_recurrence(400)):
+            assert chebyshev_T(n) == RatPoly(ref), n
+
     def test_first_few(self):
         assert chebyshev_T(0) == RatPoly([1])
         assert chebyshev_T(1) == X
@@ -238,6 +232,15 @@ class TestNewtonPowerSums:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             newton_power_sums(RatPoly([5]), 1)
+
+    def test_short_request_is_a_prefix(self):
+        # only e_1..e_m are formed for m < deg; the sums must not change
+        rng = random.Random(7)
+        a = RatPoly([rng.randint(-50, 50) for _ in range(20)] + [rng.randint(1, 9)])
+        assert a.degree == 20
+        full = newton_power_sums(a, 20)
+        for m in range(1, 21):
+            assert newton_power_sums(a, m) == full[:m]
 
 
 class TestRationalInterpolate:
