@@ -21,6 +21,7 @@ environment variable and per-run by --precision-bits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -118,14 +119,21 @@ def _cmd_verify_eq1(args) -> int:
     if args.p_max < 1:
         raise UsageError("--p-max must be >= 1")
     y0_list = args.y0 or [Fraction(0)]
+    y0_points = [ApFloat(y0, args.precision_bits) for y0 in y0_list]
     params = _knot_params(args)
     all_pass = True
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
+        # Highest order first at each y0: the first call builds the jet that
+        # every lower order reads.  Records still go out p-major.
+        checks = {}
+        for k, y0 in enumerate(y0_points):
+            for p in range(args.p_max, 0, -1):
+                residual, terms = derivative_sum(basis, p, y0)
+                checks[p, k] = residual, scaled_tolerance(terms, args.precision_bits)
         for p in range(1, args.p_max + 1):
-            for y0 in y0_list:
-                residual, terms = derivative_sum(basis, p, ApFloat(y0, args.precision_bits))
-                tolerance = scaled_tolerance(terms, args.precision_bits)
+            for k, y0 in enumerate(y0_list):
+                residual, tolerance = checks[p, k]
                 ok = abs(residual) <= tolerance
                 all_pass &= ok
                 obj = {
@@ -236,7 +244,10 @@ def _conjecture_explore(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=4)
 def build_parser(default_precision: int) -> argparse.ArgumentParser:
+    """The fejerlab parser, built once per default precision and then shared:
+    parse_args does not change it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="fejerlab",
         description="Hermite-Fejer interpolation identities: verify and discover.",

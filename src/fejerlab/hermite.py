@@ -13,18 +13,20 @@ and on Chebyshev knots of the first kind there is the closed form
 Both constructions are provided as dense coefficients, built on request as
 the reference the tests compare against; they must agree.  Evaluation needs
 only the barycentric weights w_i = 1 / prod_{j!=i} (x_i - x_j) and the slopes
-s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004): every h_i^(p)(y0) is read
-off the Taylor jet of h_i at y0 truncated at order p (Griewank & Walther,
-Evaluating Derivatives, ch. 13), with l_i(y0 + t) = w_i prod_{j!=i} (y0 - x_j
-+ t) built from running prefix and suffix products, so nothing divides by
-y0 - x_i.  The knot precision plus 64 + 4n guard bits is the working
-precision, and tolerances are stated against the knot precision; the
-acceptance suite derives the ulp floor of its 512-bit rerun from that budget.
+s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004): one Taylor jet of the h_i
+at y0, truncated at order p_max, holds every h_i^(p)(y0) for p <= p_max
+(Griewank & Walther, Evaluating Derivatives, ch. 13), with l_i(y0 + t) =
+w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
+so nothing divides by y0 - x_i.  A basis keeps its last jet, so a caller that
+asks for the highest order first at each y0 builds one jet per (n, y0).
+The knot precision plus 64 + 4n guard bits is the working precision, and
+tolerances are stated against the knot precision; the acceptance suite
+derives the ulp floor of its 512-bit rerun from that budget.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -71,13 +73,18 @@ class FundamentalBasis:
 
     weights and slopes hold w_i and s_i at the working precision; they are
     all that evaluation needs.  h, the dense coefficients, is built from the
-    construction's own formula on first access.
+    construction's own formula on first access.  _last_jet is the last
+    Taylor jet derivative_sum built, as one (y0.raw, p_max, jet, None) or
+    (y0.raw, p_max, None, rows 1..p_max) tuple: it is replaced whole, never
+    mutated, so a concurrent reader sees either the old one or the new one,
+    and a basis holds at most one.
     """
 
     knots: KnotSet
     weights: tuple[ApFloat, ...]
     slopes: tuple[ApFloat, ...]
     construction: str
+    _last_jet: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -180,32 +187,53 @@ def _coeff(a: list, b: list, k: int, wp: int):
     return acc
 
 
-def _jet_values(basis: FundamentalBasis, p: int, y0: ApFloat) -> list:
-    """h_i^(p)(y0) = p! [t^p] h_i(y0 + t) for every i, raw at working precision.
+def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
+    """(d, g): d_j = y0 - x_j, and for every i the Taylor coefficients of
+    g_i(t) = prod_{j!=i} (d_j + t) up to order q = min(p_max, 2n-1), raw at
+    working precision.
 
-    With d_j = y0 - x_j, g_i(t) = prod_{j!=i} (d_j + t) is the prefix j < i
-    times the suffix j > i, and h_i(y0 + t) = w_i^2 g_i^2 (1 - 2 s_i (d_i + t)).
-    Every h_i has degree <= 2n-1, so higher orders are exact zeros.
+    g_i is the prefix j < i times the suffix j > i.  Coefficient k of a
+    truncated product reads only coefficients <= k, so it has the same bits
+    whatever the truncation order.
     """
     n, wp = basis.n, basis.working_precision_bits
-    if p > 2 * n - 1:
-        return [fzero] * n
+    q = min(p_max, 2 * n - 1)
     d = [mpf_sub(y0.raw, x.raw, wp, _RND) for x in basis.knots.points]
-    prefix = [[fone] + [fzero] * p]
+    prefix = [[fone] + [fzero] * q]
     for dj in d[:-1]:
         prefix.append(_times_linear(prefix[-1], dj, wp))
-    suffix, out = prefix[0], [fzero] * n
+    suffix, g = prefix[0], [None] * n
     for i in reversed(range(n)):
-        g = [_coeff(prefix[i], suffix, k, wp) for k in range(p + 1)]
+        g[i] = tuple(_coeff(prefix[i], suffix, k, wp) for k in range(q + 1))
+        suffix = _times_linear(suffix, d[i], wp)
+    return tuple(d), tuple(g)
+
+
+def _jet_values(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
+    """One row per p in orders (ascending): h_i^(p)(y0) = p! [t^p] h_i(y0 + t)
+    for every i, raw at working precision.
+
+    h_i(y0 + t) = w_i^2 g_i(t)^2 (1 - 2 s_i (d_i + t)), and row p reads
+    [t^p] and [t^(p-1)] of g_i^2, each formed once however many rows read it.
+    Every h_i has degree <= 2n-1, so rows above that are exact zeros.
+    """
+    n, wp = basis.n, basis.working_precision_bits
+    d, gs = jet
+    ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0])))
+    rows = [[fzero] * n for _ in orders]
+    for i, g in enumerate(gs):
         two_s = mpf_shift(basis.slopes[i].raw, 1)
         a = mpf_sub(fone, mpf_mul(two_s, d[i], wp, _RND), wp, _RND)
-        val = mpf_mul(a, _coeff(g, g, p, wp), wp, _RND)
-        if p:
-            val = mpf_sub(val, mpf_mul(two_s, _coeff(g, g, p - 1, wp), wp, _RND), wp, _RND)
         w2 = mpf_mul(basis.weights[i].raw, basis.weights[i].raw, wp, _RND)
-        out[i] = mpf_mul_int(mpf_mul(val, w2, wp, _RND), math.factorial(p), wp, _RND)
-        suffix = _times_linear(suffix, d[i], wp)
-    return out
+        g2 = {k: _coeff(g, g, k, wp) for k in ks}
+        for row, p in zip(rows, orders):
+            if p not in g2:
+                continue
+            val = mpf_mul(a, g2[p], wp, _RND)
+            if p:
+                val = mpf_sub(val, mpf_mul(two_s, g2[p - 1], wp, _RND), wp, _RND)
+            row[i] = mpf_mul_int(mpf_mul(val, w2, wp, _RND), math.factorial(p), wp, _RND)
+    return tuple(map(tuple, rows))
 
 
 def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) -> ApFloat:
@@ -214,7 +242,8 @@ def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) 
         raise LengthMismatch(f"{len(values)} values for {basis.n} knots")
     wp = basis.working_precision_bits
     acc = fzero
-    for h, v in zip(_jet_values(basis, 0, x), values):
+    (row,) = _jet_values(basis, _jet(basis, 0, x), (0,))
+    for h, v in zip(row, values):
         acc = mpf_add(acc, mpf_mul(h, v.raw, wp, _RND), wp, _RND)
     return ApFloat(mpf_pos(acc, basis.precision_bits, _RND), basis.precision_bits)
 
@@ -224,19 +253,36 @@ def derivative_sum(
 ) -> tuple[ApFloat, list[ApFloat]]:
     """All h_i^(p)(y0) and their sum, which vanishes identically for p >= 1.
 
-    terms_i is h_i^(p)(y0) from the order-p Taylor jet, rounded to the knot
+    terms_i is h_i^(p)(y0) from the Taylor jet at y0, rounded to the knot
     precision; residual is the ordered sum of the unrounded terms.  The sum of
     the h_i is identically 1 for any knot set, so every p >= 1 drives the
     residual to pure rounding noise.  p = 0 is rejected: there the sum is 1,
     not 0.
+
+    The basis keeps the last jet it built.  A call at the same y0 and an order
+    <= the jet's reads it instead of building a new one: the first such call
+    turns the jet into its rows for every order at once, and later calls read
+    their row.  A caller that asks for one order per y0 pays for no rows it
+    does not read.  The bits are the same on every route.
     """
     if p < 1:
         raise ValueError("derivative order p must be >= 1")
+    slot = basis._last_jet
+    if slot is not None and slot[0] == y0.raw and slot[1] >= p:
+        _, p_max, jet, table = slot
+        if table is None:
+            table = _jet_values(basis, jet, range(1, p_max + 1))
+            basis._last_jet = (y0.raw, p_max, None, table)
+        row = table[p - 1]
+    else:
+        jet = _jet(basis, p, y0)
+        basis._last_jet = (y0.raw, p, jet, None)
+        (row,) = _jet_values(basis, jet, (p,))
     wp = basis.working_precision_bits
     out_prec = basis.precision_bits
     terms = []
     acc = fzero
-    for val in _jet_values(basis, p, y0):
+    for val in row:
         acc = mpf_add(acc, val, wp, _RND)
         terms.append(ApFloat(mpf_pos(val, out_prec, _RND), out_prec))
     residual = ApFloat(mpf_pos(acc, out_prec, _RND), out_prec)

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction as F
 
 import fejerlab.cli as cli
+import fejerlab.hermite as hermite_mod
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat
 from fejerlab.knots import KnotSpacingError
@@ -68,13 +69,30 @@ class TestVerifyEq1:
         code, out, _ = run(
             capsys,
             "verify-eq1", "--family", "equispaced", "--n-max", "4",
-            "--p-max", "1", "--y0", "0", "--y0", "3/10", "--precision-bits", "64",
+            "--p-max", "3", "--y0", "0", "--y0", "3/10", "--precision-bits", "64",
         )
         assert code == 0
         rows = json_lines(out)
-        assert [(r["n"], r["y0"]) for r in rows] == [
-            (2, "0/1"), (2, "3/10"), (3, "0/1"), (3, "3/10"), (4, "0/1"), (4, "3/10"),
+        assert [(r["n"], r["p"], r["y0"]) for r in rows] == [
+            (n, p, y0) for n in (2, 3, 4) for p in (1, 2, 3) for y0 in ("0/1", "3/10")
         ]
+
+    def test_one_jet_per_n_and_y0(self, capsys, monkeypatch):
+        builds = []
+        original = hermite_mod._jet
+
+        def counting_jet(basis, p_max, y0):
+            builds.append((basis.n, p_max))
+            return original(basis, p_max, y0)
+
+        monkeypatch.setattr(hermite_mod, "_jet", counting_jet)
+        code, out, _ = run(
+            capsys,
+            "verify-eq1", "--n-max", "5", "--p-max", "6", "--y0", "0", "--y0", "1/3",
+        )
+        assert code == 0
+        assert len(json_lines(out)) == 4 * 6 * 2
+        assert builds == [(n, 6) for n in (2, 3, 4, 5) for _ in range(2)]
 
     def test_gauss_jacobi_defaults_to_legendre(self, capsys):
         code, out, _ = run(
@@ -237,3 +255,12 @@ class TestConfig:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    def test_parser_is_built_once_per_default_precision(self, capsys, monkeypatch):
+        assert cli.build_parser(256) is cli.build_parser(256)
+        assert cli.build_parser(128) is not cli.build_parser(256)
+        first = run(capsys, "verify-eq1", "--help")
+        monkeypatch.setenv(cli.PRECISION_ENV_VAR, "128")
+        run(capsys, "knots", "--family", "chebyshev1", "--n", "2")
+        monkeypatch.delenv(cli.PRECISION_ENV_VAR)
+        assert run(capsys, "verify-eq1", "--help") == first

@@ -1,5 +1,8 @@
 """Fundamental-polynomial construction: hand-built exact oracles, the
 cardinality conditions, and the vanishing derivative sums."""
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -269,10 +272,70 @@ class TestDerivativeSum:
             assert abs(terms[i] - terms[n - 1 - i]) <= tol
 
     def test_repeated_calls_are_deterministic(self):
-        basis = hermite_fejer_basis(chebyshev1_knots(4, BITS))
-        r1, t1 = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
-        r2, t2 = derivative_sum(basis, 2, to_apfloat(F(1, 7), BITS))
-        assert r1 == r2 and t1 == t2
+        # the second basis has no jet yet, so its call recomputes
+        y0 = to_apfloat(F(1, 7), BITS)
+        r1, t1 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
+        r2, t2 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
+        assert r1.raw == r2.raw and [t.raw for t in t1] == [t.raw for t in t2]
+
+    @pytest.mark.parametrize("n", [2, 5, 17])
+    @pytest.mark.parametrize(
+        "family,kwargs",
+        [
+            ("chebyshev1", {}),
+            ("chebyshev2", {}),
+            ("equispaced", {}),
+            ("gauss_jacobi", {"alpha": F(1, 3), "beta": F(1, 5)}),
+        ],
+    )
+    def test_lower_orders_read_from_one_jet_are_bit_identical(self, family, kwargs, n):
+        basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
+        p_max = 2 * n + 1
+        for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
+            derivative_sum(basis, p_max, y0)
+            for p in range(p_max, 0, -1):
+                r, t = derivative_sum(basis, p, y0)
+                assert basis._last_jet[:2] == (y0.raw, p_max)
+                fr, ft = derivative_sum(replace(basis), p, y0)
+                assert r.raw == fr.raw, (p, y0)
+                assert [x.raw for x in t] == [x.raw for x in ft], (p, y0)
+
+    def test_shared_basis_under_threads_matches_serial(self):
+        # mixed (p, y0) keep replacing the one jet a basis holds, and orders
+        # below a jet's read its rows; every read must see one whole jet
+        basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
+        points = [basis.knots.points[4], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)]
+        jobs = [(p, k) for k in range(len(points)) for p in (19, 8, 5, 2, 1)]
+
+        def raws(b, p, k):
+            r, t = derivative_sum(b, p, points[k])
+            return r.raw, tuple(x.raw for x in t)
+
+        serial = {job: raws(replace(basis), *job) for job in jobs}
+        seen, errors = [], []
+
+        def work(shift):
+            try:
+                for rep in range(4):
+                    for job in jobs[shift + rep :] + jobs[: shift + rep]:
+                        seen.append((job, raws(basis, *job)))
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 4 * 4 * len(jobs)
+        assert all(result == serial[job] for job, result in seen)
 
     def test_jet_builds_no_dense_polynomial(self, monkeypatch):
         products = []
