@@ -212,6 +212,8 @@ def _conjecture_formula(args) -> int:
 def _conjecture_explore(args) -> int:
     if args.p is None or not args.n_list:
         raise UsageError("explore mode needs --p and --n-list")
+    if args.y0 and len(args.y0) > 1:
+        raise UsageError("explore mode takes at most one --y0")
     y0 = args.y0[0] if args.y0 else Fraction(0)
     findings = conj.explore_knot_family(
         args.family,

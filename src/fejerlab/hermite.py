@@ -158,11 +158,12 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
     xs = [x.raw for x in knots.points]
     weights, slopes = [], []
     for i, xi in enumerate(xs):
-        g = [fone, fzero]
+        g0, g1 = fone, fzero  # g_i(t) = g0 + g1 t + O(t^2)
         for xj in xs[:i] + xs[i + 1 :]:
-            g = _times_linear(g, mpf_sub(xi, xj, wp, _RND), wp)
-        weights.append(ApFloat(mpf_div(fone, g[0], wp, _RND), wp))
-        slopes.append(ApFloat(mpf_div(g[1], g[0], wp, _RND), wp))
+            d = mpf_sub(xi, xj, wp, _RND)
+            g0, g1 = mpf_mul(g0, d, wp, _RND), mpf_add(mpf_mul(g1, d, wp, _RND), g0, wp, _RND)
+        weights.append(ApFloat(mpf_div(fone, g0, wp, _RND), wp))
+        slopes.append(ApFloat(mpf_div(g1, g0, wp, _RND), wp))
     return FundamentalBasis(knots, tuple(weights), tuple(slopes), "general")
 
 

@@ -6,11 +6,13 @@ Newton iteration on the three-term recurrence.  Robustness comes from the
 interlacing ladder: the roots of consecutive degrees strictly interlace, so
 each stage brackets every root of the next inside an interval with a known
 sign change, and Newton falls back to bisection whenever it steps outside its
-bracket.  No external root finder is involved.
+bracket.  No external root finder is involved.  Stage k of the ladder is a
+pure function of (alpha, beta, k, precision), so one functools.lru_cache
+bounded at _STAGE_CAP stages shares it between calls and threads.
 """
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from mpmath.libmp import (
     fnone,
     fone,
     from_int,
+    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
@@ -66,7 +69,6 @@ class KnotSet:
     precision_bits: int
     alpha: Fraction | None = None
     beta: Fraction | None = None
-    endpoints: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         if self.n != len(self.points) or self.n < 1:
@@ -79,46 +81,37 @@ class KnotSet:
                 )
 
 
-def _mirrored_knotset(family: str, n: int, precision_bits: int, positive_half) -> KnotSet:
-    """Assemble a symmetric knot set from its positive half (descending order).
+def _cos_pi(num: int, den: int, wp: int):
+    """cos(num pi / den) as a raw mpf at wp bits."""
+    angle = mpf_div(mpf_mul_int(mpf_pi(wp, _RND), num, wp, _RND), from_int(den), wp, _RND)
+    return mpf_cos(angle, wp, _RND)
 
-    The negative half is the exact mirror, and an odd count puts an exact zero
-    in the middle.
-    """
-    zero = ApFloat(0, precision_bits)
-    ascending = [-v for v in positive_half]
-    if n % 2 == 1:
-        ascending.append(zero)
-    ascending.extend(reversed(positive_half))
-    return KnotSet(family=family, n=n, points=tuple(ascending), precision_bits=precision_bits)
+
+def _cosine_knots(family: str, n: int, precision_bits: int, num, den: int) -> KnotSet:
+    """Symmetric knots from their positive half cos(num(i) pi / den), i = 1..n//2
+    (descending): the negative half is the exact mirror, and an odd count puts
+    an exact zero in the middle."""
+    _check_precision(precision_bits)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    wp = precision_bits + 8
+    half = [
+        ApFloat(mpf_pos(_cos_pi(num(i), den, wp), precision_bits, _RND), precision_bits)
+        for i in range(1, n // 2 + 1)
+    ]
+    middle = [ApFloat(0, precision_bits)] * (n % 2)
+    points = tuple([-v for v in half] + middle + half[::-1])
+    return KnotSet(family=family, n=n, points=points, precision_bits=precision_bits)
 
 
 def chebyshev1_knots(n: int, precision_bits: int) -> KnotSet:
     """Roots of T_n: cos((2i-1) pi / (2n)), i = 1..n, in ascending order."""
-    _check_precision(precision_bits)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    wp = precision_bits + 8
-    pi_raw = mpf_pi(wp, _RND)
-    half = []
-    for i in range(1, n // 2 + 1):
-        angle = mpf_div(mpf_mul_int(pi_raw, 2 * i - 1, wp, _RND), from_int(2 * n), wp, _RND)
-        half.append(ApFloat(mpf_pos(mpf_cos(angle, wp, _RND), precision_bits, _RND), precision_bits))
-    return _mirrored_knotset("chebyshev1", n, precision_bits, half)
+    return _cosine_knots("chebyshev1", n, precision_bits, lambda i: 2 * i - 1, 2 * n)
 
 
 def chebyshev2_knots(n: int, precision_bits: int) -> KnotSet:
     """Roots of U_n: cos(i pi / (n+1)), i = 1..n, in ascending order."""
-    _check_precision(precision_bits)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    wp = precision_bits + 8
-    pi_raw = mpf_pi(wp, _RND)
-    half = []
-    for i in range(1, n // 2 + 1):
-        angle = mpf_div(mpf_mul_int(pi_raw, i, wp, _RND), from_int(n + 1), wp, _RND)
-        half.append(ApFloat(mpf_pos(mpf_cos(angle, wp, _RND), precision_bits, _RND), precision_bits))
-    return _mirrored_knotset("chebyshev2", n, precision_bits, half)
+    return _cosine_knots("chebyshev2", n, precision_bits, lambda i: i, n + 1)
 
 
 def equispaced_knots(n: int, a: Fraction, b: Fraction, precision_bits: int) -> KnotSet:
@@ -131,9 +124,7 @@ def equispaced_knots(n: int, a: Fraction, b: Fraction, precision_bits: int) -> K
         raise ValueError("need a < b")
     step = (b - a) / (n - 1)
     points = tuple(ApFloat(a + i * step, precision_bits) for i in range(n))
-    return KnotSet(
-        family="equispaced", n=n, points=points, precision_bits=precision_bits, endpoints=(a, b)
-    )
+    return KnotSet(family="equispaced", n=n, points=points, precision_bits=precision_bits)
 
 
 # -- Jacobi polynomials ------------------------------------------------------
@@ -146,14 +137,12 @@ def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fra
     return alpha, beta
 
 
-def _jacobi_linear_coeffs(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
-    # P_1 = A1*x + B1
-    return (alpha + beta + 2) / 2, (alpha - beta) / 2
-
-
 def _jacobi_step_coeffs(alpha: Fraction, beta: Fraction, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact coefficients with P_j = (A x + B) P_{j-1} - C P_{j-2}, j >= 2."""
+    """Exact coefficients with P_j = (A x + B) P_{j-1} - C P_{j-2}, j >= 1,
+    where P_{-1} = 0 and P_0 = 1."""
     s = alpha + beta
+    if j == 1:
+        return (s + 2) / 2, (alpha - beta) / 2, Fraction(0)
     a1 = 2 * j * (j + s) * (2 * j + s - 2)
     a2 = (2 * j + s - 1) * (alpha * alpha - beta * beta)
     a3 = (2 * j + s - 2) * (2 * j + s - 1) * (2 * j + s)
@@ -161,20 +150,19 @@ def _jacobi_step_coeffs(alpha: Fraction, beta: Fraction, j: int) -> tuple[Fracti
     return a3 / a1, a2 / a1, a4 / a1
 
 
-def _raw_coeff(q: Fraction, wp: int):
-    return ApFloat(q, wp).raw
+def _raw_step(alpha: Fraction, beta: Fraction, j: int, wp: int) -> tuple:
+    """The coefficients of step j, each correctly rounded to a raw mpf at wp bits."""
+    return tuple(
+        from_rational(c.numerator, c.denominator, wp, _RND)
+        for c in _jacobi_step_coeffs(alpha, beta, j)
+    )
 
 
-def _jacobi_value_derivative(step_raws, lin_raws, k: int, x, wp: int):
-    """(P_k(x), P_k'(x)) as raw mpf values, by the recurrence pair."""
-    if k == 0:
-        return fone, fzero
-    a1, b1 = lin_raws
-    p_prev, d_prev = fone, fzero
-    p_cur = mpf_add(mpf_mul(a1, x, wp, _RND), b1, wp, _RND)
-    d_cur = a1
-    for j in range(2, k + 1):
-        aj, bj, cj = step_raws[j - 2]
+def _jacobi_value_derivative(steps, x, wp: int):
+    """(P_k(x), P_k'(x)) as raw mpf values for k = len(steps), by the
+    recurrence pair from P_{-1} = 0 and P_0 = 1."""
+    p_prev, d_prev, p_cur, d_cur = fzero, fzero, fone, fzero
+    for aj, bj, cj in steps:
         axb = mpf_add(mpf_mul(aj, x, wp, _RND), bj, wp, _RND)
         p_next = mpf_sub(
             mpf_mul(axb, p_cur, wp, _RND), mpf_mul(cj, p_prev, wp, _RND), wp, _RND
@@ -195,12 +183,8 @@ def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[Ap
     if n < 0:
         raise ValueError("n must be >= 0")
     wp = x.precision_bits
-    lin_raws = tuple(_raw_coeff(c, wp) for c in _jacobi_linear_coeffs(alpha, beta))
-    step_raws = [
-        tuple(_raw_coeff(c, wp) for c in _jacobi_step_coeffs(alpha, beta, j))
-        for j in range(2, n + 1)
-    ]
-    value, deriv = _jacobi_value_derivative(step_raws, lin_raws, n, x.raw, wp)
+    steps = [_raw_step(alpha, beta, j, wp) for j in range(1, n + 1)]
+    value, deriv = _jacobi_value_derivative(steps, x.raw, wp)
     return ApFloat(value, wp), ApFloat(deriv, wp)
 
 
@@ -210,25 +194,13 @@ def _sign(raw) -> int:
     return -1 if raw[0] else 1
 
 
-def _chebyshev_seeds(k: int, wp: int):
-    """Chebyshev-I angle seeds for the k roots, ascending."""
-    pi_raw = mpf_pi(wp, _RND)
-    seeds = []
-    for j in range(1, k + 1):
-        num = 2 * (k - j) + 1
-        angle = mpf_div(mpf_mul_int(pi_raw, num, wp, _RND), from_int(2 * k), wp, _RND)
-        seeds.append(mpf_cos(angle, wp, _RND))
-    return seeds
-
-
-def _polish_root(eval_kd, seed, lo, hi, threshold, wp):
-    """One safeguarded Newton run inside the bracket (lo, hi).
+def _polish_root(eval_kd, seed, lo, hi, sign_lo, threshold, wp):
+    """One safeguarded Newton run inside the bracket (lo, hi), where P has
+    the sign sign_lo (+1 or -1) at lo.
 
     eval_kd(x) -> (P(x), P'(x)) raw pair.  Steps leaving the bracket are
     replaced by bisection; the bracket shrinks with every sign evaluation.
     """
-    f_lo, _ = eval_kd(lo)
-    sign_lo = _sign(f_lo)
     x = seed
     if not (mpf_lt(lo, x) and mpf_lt(x, hi)):
         x = mpf_shift(mpf_add(lo, hi, wp, _RND), -1)
@@ -256,52 +228,43 @@ def _polish_root(eval_kd, seed, lo, hi, threshold, wp):
     raise ConvergenceFailure("Newton iteration exceeded its step cap")
 
 
-# Ladder cache: (alpha, beta, wp, threshold_exp) -> state whose stages only
-# grow.  The dict keeps the _LADDER_CAP most recently used ladders in use
-# order, oldest first, and evicts the oldest past the cap.  Lookup, eviction
-# and extension run under the lock (two threads would each read a stage the
-# other has yet to append); the stage tuple a caller gets back is never mutated.
-_LADDER_CAP = 64
-_LADDERS: dict = {}
-_LADDER_LOCK = threading.Lock()
+#: Ladder stages kept by _ladder_stage's cache, over all (alpha, beta, wp).
+_STAGE_CAP = 512
 
 
-def _jacobi_root_ladder(alpha: Fraction, beta: Fraction, n: int, wp: int, threshold_exp: int):
-    """Roots of P_k for k = 1..n (raw, ascending per stage), built by interlacing."""
-    key = (alpha, beta, wp, threshold_exp)
-    with _LADDER_LOCK:
-        state = _LADDERS.pop(key, None)
-        if state is None:
-            r1 = _raw_coeff((beta - alpha) / (alpha + beta + 2), wp)
-            state = {
-                "lin": tuple(_raw_coeff(c, wp) for c in _jacobi_linear_coeffs(alpha, beta)),
-                "steps": [],
-                "stages": ((r1,),),
-            }
-        _LADDERS[key] = state
-        if len(_LADDERS) > _LADDER_CAP:
-            del _LADDERS[next(iter(_LADDERS))]
-        threshold = mpf_shift(fone, threshold_exp)
-        while len(state["stages"]) < n:
-            k = len(state["stages"]) + 1
-            while len(state["steps"]) < k - 1:
-                j = len(state["steps"]) + 2
-                state["steps"].append(
-                    tuple(_raw_coeff(c, wp) for c in _jacobi_step_coeffs(alpha, beta, j))
-                )
-            steps, lin = state["steps"], state["lin"]
+@functools.lru_cache(maxsize=_STAGE_CAP)
+def _ladder_stage(alpha: Fraction, beta: Fraction, k: int, wp: int, threshold_exp: int):
+    """(steps, roots) of P_k: the raw recurrence steps 1..k and the k roots,
+    ascending, polished until Newton updates drop below 2^threshold_exp.
 
-            def eval_kd(x, _k=k):
-                return _jacobi_value_derivative(steps, lin, _k, x, wp)
-
-            brackets = [fnone, *state["stages"][-1], fone]
-            seeds = _chebyshev_seeds(k, wp)
-            roots = tuple(
-                _polish_root(eval_kd, seeds[i], brackets[i], brackets[i + 1], threshold, wp)
-                for i in range(k)
-            )
-            state["stages"] += (roots,)
-        return state["stages"]
+    The roots of P_{k-1} interlace those of P_k, so stage k - 1 brackets
+    every root of stage k; the one root of P_1 is polished inside (-1, 1)
+    like any other.  A stage is a pure function of its arguments and
+    immutable, so threads may share the cache; a race on a cold stage only
+    repeats deterministic work.
+    """
+    prev_steps, prev_roots = (
+        ((), ()) if k == 1 else _ladder_stage(alpha, beta, k - 1, wp, threshold_exp)
+    )
+    steps = prev_steps + (_raw_step(alpha, beta, k, wp),)
+    threshold = mpf_shift(fone, threshold_exp)
+    brackets = (fnone, *prev_roots, fone)
+    # Bracket j holds root j + 1 of P_k, so k - j roots lie above its lower
+    # end, where P_k (positive leading coefficient) has the sign (-1)^(k-j).
+    # Knowing it saves one evaluation per root.
+    roots = tuple(
+        _polish_root(
+            lambda x: _jacobi_value_derivative(steps, x, wp),
+            _cos_pi(2 * (k - j) - 1, 2 * k, wp),
+            brackets[j],
+            brackets[j + 1],
+            (-1) ** (k - j),
+            threshold,
+            wp,
+        )
+        for j in range(k)
+    )
+    return steps, roots
 
 
 def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
@@ -312,10 +275,11 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
     if n < 1:
         raise ValueError("n must be >= 1")
     wp = precision_bits + _ROOT_GUARD_BITS
-    stages = _jacobi_root_ladder(alpha, beta, n, wp, 16 - precision_bits)
-    points = tuple(
-        ApFloat(mpf_pos(r, precision_bits, _RND), precision_bits) for r in stages[n - 1]
-    )
+    # Upward, so a cold stage finds the one below it cached and the
+    # recursion never runs deeper than one level.
+    for k in range(1, n + 1):
+        _, roots = _ladder_stage(alpha, beta, k, wp, 16 - precision_bits)
+    points = tuple(ApFloat(mpf_pos(r, precision_bits, _RND), precision_bits) for r in roots)
     return KnotSet(
         family="gauss_jacobi",
         n=n,

@@ -2,6 +2,9 @@
 plumbing."""
 import json
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 import fejerlab.cli as cli
 import fejerlab.hermite as hermite_mod
@@ -119,8 +122,8 @@ class TestVerifyEq1:
 
 class TestNumericFailure:
     def test_convergence_failure_exits_three(self, capsys, monkeypatch):
+        knots_mod._ladder_stage.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
-        monkeypatch.setattr(knots_mod, "_LADDERS", {})
         code, out, err = run(
             capsys,
             "knots", "--family", "gauss_jacobi", "--n", "8", "--alpha", "1/7", "--beta", "2/7",
@@ -211,6 +214,16 @@ class TestConjectureCommand:
         assert rows[0]["candidate"] == "16/3"
         assert rows[1]["candidate"] == "-16/3"
 
+    def test_explore_mode_rejects_a_second_y0(self, capsys):
+        code, out, err = run(
+            capsys,
+            "conjecture", "--family", "chebyshev1", "--p", "2", "--n-list", "3",
+            "--y0", "0", "--y0", "1/3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConfig:
     def test_determinism_byte_identical(self, capsys):
@@ -264,3 +277,29 @@ class TestConfig:
         run(capsys, "knots", "--family", "chebyshev1", "--n", "2")
         monkeypatch.delenv(cli.PRECISION_ENV_VAR)
         assert run(capsys, "verify-eq1", "--help") == first
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("knots_gauss_jacobi_n9",
+         "knots --family gauss_jacobi --n 9 --alpha 1/3 --beta 1/5"),
+        ("knots_gauss_jacobi_n6_512",
+         "knots --family gauss_jacobi --n 6 --alpha=-1/2 --beta 2 --precision-bits 512"),
+        ("knots_chebyshev2_n6", "knots --family chebyshev2 --n 6"),
+        ("verify_eq1_gauss_jacobi",
+         "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"
+         " --y0 0 --y0 3/10"),
+        ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
+    ],
+)
+def test_stdout_matches_golden_file(name, argv, capsys, monkeypatch):
+    # the files pin the root ladder, the basis and explore's 512-bit rebuild
+    # to the bits they had when they were written
+    monkeypatch.delenv(cli.PRECISION_ENV_VAR, raising=False)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.jsonl").read_text()

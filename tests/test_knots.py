@@ -168,18 +168,35 @@ class TestGaussJacobi:
         assert -one < k.points[0] and k.points[-1] < one
 
     def test_newton_cap_failure(self, monkeypatch):
+        knots_mod._ladder_stage.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
         with pytest.raises(ConvergenceFailure):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(F(0), F(0)), (F(-99, 100), F(7)), (F(9), F(-99, 100)), (F(1, 3), F(1, 5))]
+    )
+    def test_bracket_signs_alternate(self, alpha, beta):
+        # the ladder passes (-1)^(k-j) as the sign of P_k at the lower end of
+        # bracket j instead of evaluating it there
+        wp = BITS + knots_mod._ROOT_GUARD_BITS
+        prev = ()
+        for k in range(1, 21):
+            lows = (-1, *prev)
+            for j, lo in enumerate(lows):
+                value, _ = jacobi_eval(k, alpha, beta, ApFloat(lo, wp))
+                assert knots_mod._sign(value.raw) == (-1) ** (k - j)
+            _, roots = knots_mod._ladder_stage(alpha, beta, k, wp, 16 - BITS)
+            prev = tuple(ApFloat(r, wp) for r in roots)
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             gauss_jacobi_knots(3, F(-3, 2), F(0), BITS)
 
-    def test_concurrent_ladder_extension(self, monkeypatch):
+    def test_concurrent_ladder_extension(self):
         # four threads race to build one cold ladder; none may see a stage
         # another has not finished
-        monkeypatch.setattr(knots_mod, "_LADDERS", {})
+        knots_mod._ladder_stage.cache_clear()
         results, errors = [], []
 
         def build():
@@ -203,15 +220,25 @@ class TestGaussJacobi:
         assert len(results) == 4 and all(r == results[0] for r in results)
 
     def test_ladder_cache_is_bounded_and_keeps_recent_use(self, monkeypatch):
-        monkeypatch.setattr(knots_mod, "_LADDERS", {})
+        knots_mod._ladder_stage.cache_clear()
+        cap = knots_mod._ladder_stage.cache_info().maxsize
         hot = (F(1, 3), F(1, 5))
-        for i in range(100):
-            if i % 10 == 0:
+        for i in range(cap + 100):
+            if i % 100 == 0:
                 gauss_jacobi_knots(3, *hot, 64)
-            gauss_jacobi_knots(3, F(i, 101), F(1, 2), 64)
-        assert len(knots_mod._LADDERS) <= knots_mod._LADDER_CAP == 64
-        assert hot in {key[:2] for key in knots_mod._LADDERS}
-        assert (F(0), F(1, 2)) not in {key[:2] for key in knots_mod._LADDERS}
+            gauss_jacobi_knots(1, F(i, cap + 101), F(1, 2), 64)
+        assert knots_mod._ladder_stage.cache_info().currsize <= cap
+        polish, polished = knots_mod._polish_root, []
+
+        def counting(*args):
+            polished.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(knots_mod, "_polish_root", counting)
+        gauss_jacobi_knots(3, *hot, 64)
+        assert polished == []
+        gauss_jacobi_knots(1, F(0), F(1, 2), 64)
+        assert len(polished) == 1
 
 
 class TestKnotSetGuards:
