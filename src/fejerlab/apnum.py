@@ -2,13 +2,21 @@
 
 Every value carries its working precision in bits (mantissa width, >= 64);
 arithmetic between two values runs at the larger of their precisions, with
-round-to-nearest-even.  The heavy lifting is done by mpmath's low-level libmp
+round-to-nearest-even.  ApFloat and NumPoly call mpmath's low-level libmp
 kernels (on gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND),
 bypassing the global mpmath context: precision is per-value, never shared.
+_RND is the one rounding mode of the package.
+
+The hot loops of the Hermite-Fejer basis and jet do not use them: libmp
+normalises after every operation, which costs several times the mantissa
+product.  They run on the integer block kernel below instead: exact
+(int, exponent) views of raw values, a common integer scale for a set of
+values, and _renorm, which rounds a block of ints sharing one exponent once.
 
 The error model is a guard-bit budget, not interval arithmetic: elementary
-functions are good to ~1 ulp and a pipeline of k rounded operations is trusted
-to roughly k ulps.  Exact claims never ride on this module; see the rational
+functions are good to ~1 ulp, a pipeline of k rounded operations is trusted
+to roughly k ulps, and a block costs one rounding per stage, not one per
+operation.  Exact claims never ride on this module; see the rational
 polynomial layer for those.
 """
 from __future__ import annotations
@@ -202,6 +210,43 @@ class ApFloat:
 
     def __hash__(self):
         return hash(self.to_fraction())
+
+
+# -- integer block kernel ----------------------------------------------------
+#
+# A block is a list of Python ints c_k sharing one exponent E (values
+# c_k 2^E): block floating point.  Sums and products of blocks are exact
+# integer operations; _renorm rounds a whole block once, so a product stage
+# costs one rounding instead of one per libmp operation.
+
+
+def _man_exp(raw) -> tuple[int, int]:
+    """(m, e) with the raw mpf equal to m 2^e exactly."""
+    sign, man, exp, _ = raw
+    return (-int(man) if sign else int(man)), exp
+
+
+def _common_scale(raws) -> tuple[list[int], int]:
+    """Integers X_k and the least L >= 0 with raws[k] = X_k / 2^L exactly."""
+    pairs = [_man_exp(r) for r in raws]
+    L = max([0] + [-e for m, e in pairs if m])
+    return [m << (e + L) for m, e in pairs], L
+
+
+def _renorm(coeffs: list[int], E: int, bits: int) -> tuple[list[int], int]:
+    """The block coeffs 2^E rounded once, as (coeffs, E), so that the larger
+    of coefficients 0 and 1 keeps `bits` bits.
+
+    The shift is read from coefficients 0 and 1 only, so the common
+    coefficients of a shorter and a longer block round alike.  Rounding is to
+    nearest, ties up: (c + 2^(b-1)) >> b.  A block whose coefficients 0 and 1
+    are already within `bits` bits is returned exact.
+    """
+    b = max(coeffs[0].bit_length(), coeffs[1].bit_length()) - bits
+    if b <= 0:
+        return coeffs, E
+    half = 1 << (b - 1)
+    return [(c + half) >> b for c in coeffs], E + b
 
 
 def to_apfloat(q: Fraction | int, precision_bits: int) -> ApFloat:

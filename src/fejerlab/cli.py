@@ -79,12 +79,28 @@ def _emit(obj: dict, mode: str, text: str) -> None:
         print(text)
 
 
+#: Each family's knot parameters and their defaults.
+_KNOT_PARAMS = {
+    "gauss_jacobi": {"alpha": Fraction(0), "beta": Fraction(0)},
+    "equispaced": {"a": Fraction(-1), "b": Fraction(1)},
+}
+
+
+def _reject_given(args, names, where: str) -> None:
+    """A usage error if any of the named options was given explicitly."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to {where}")
+
+
 def _knot_params(args) -> dict:
-    if args.family == "gauss_jacobi":
-        return {"alpha": args.alpha, "beta": args.beta}
-    if args.family == "equispaced":
-        return {"a": args.a, "b": args.b}
-    return {}
+    """The family's knot parameters, defaults filled in.  A parameter of
+    another family is a usage error, not silently ignored."""
+    params = _KNOT_PARAMS.get(args.family, {})
+    foreign = [k for k in ("alpha", "beta", "a", "b") if k not in params]
+    _reject_given(args, foreign, f"--family {args.family}")
+    given = {k: getattr(args, k) for k in params}
+    return {k: default if given[k] is None else given[k] for k, default in params.items()}
 
 
 def _n_values(args, odd: bool = False) -> list[int]:
@@ -191,6 +207,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _conjecture_formula(args) -> int:
+    explore_only = ("p", "y0", "n_list", "alpha", "beta", "a", "b", "max_denominator")
+    _reject_given(args, explore_only, "formula mode (no --family)")
     if args.m is None or args.train is None or args.holdout is None:
         raise UsageError("formula mode needs --m, --train and --holdout")
     report = conj.conjecture_power_formula(args.m, args.train, args.holdout)
@@ -210,6 +228,7 @@ def _conjecture_formula(args) -> int:
 
 
 def _conjecture_explore(args) -> int:
+    _reject_given(args, ("m", "train", "holdout"), "explore mode (--family)")
     if args.p is None or not args.n_list:
         raise UsageError("explore mode needs --p and --n-list")
     if args.y0 and len(args.y0) > 1:
@@ -222,7 +241,7 @@ def _conjecture_explore(args) -> int:
         ApFloat(y0, args.precision_bits),
         args.n_list,
         args.precision_bits,
-        max_denominator=args.max_denominator,
+        max_denominator=10 ** 6 if args.max_denominator is None else args.max_denominator,
     )
     parts = ("offcenter_aggregate", "nearest_knot_term")
     for idx, rec in enumerate(findings):
@@ -286,13 +305,13 @@ def build_parser(default_precision: int) -> argparse.ArgumentParser:
     p_conj.add_argument("--n-list", type=_int_list)
 
     # Options shared by several subcommands, declared once.  They follow each
-    # subcommand's own options, which fixes their place in its --help.
+    # subcommand's own options, which fixes their place in its --help.  The
+    # knot parameters default to None, so only an option given explicitly is
+    # checked against the family; _knot_params fills in the defaults.
     for p in (p_knots, p_eq1, p_conj):
-        p.add_argument("--alpha", type=_fraction, default=Fraction(0))
-        p.add_argument("--beta", type=_fraction, default=Fraction(0))
-        p.add_argument("--a", type=_fraction, default=Fraction(-1))
-        p.add_argument("--b", type=_fraction, default=Fraction(1))
-    p_conj.add_argument("--max-denominator", type=int, default=10 ** 6)
+        for name in ("--alpha", "--beta", "--a", "--b"):
+            p.add_argument(name, type=_fraction)
+    p_conj.add_argument("--max-denominator", type=int)
     for p in sub.choices.values():
         p.add_argument("--precision-bits", type=int, default=default_precision)
         p.add_argument("--output", choices=("json", "text"), default="json")

@@ -33,12 +33,9 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_shift,
     mpf_sub,
-    round_nearest,
 )
 
-from .apnum import ApFloat, _check_precision, pow2
-
-_RND = round_nearest
+from .apnum import _RND, ApFloat, _check_precision, pow2
 
 #: Extra bits carried while polishing roots, beyond the requested precision.
 _ROOT_GUARD_BITS = 32

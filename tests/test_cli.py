@@ -225,6 +225,33 @@ class TestConjectureCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestForeignOptions:
+    """An option of the other conjecture mode, or a knot parameter of another
+    family, is a usage error: exit 2, no stdout, one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "conjecture --m 1 --train 3,5,7 --holdout 9,11 --p 2 --y0 1/3 --n-list 3",
+            "conjecture --family chebyshev1 --p 2 --n-list 3 --m 4 --train 3",
+            "verify-eq1 --family chebyshev1 --n 3 --alpha 5",
+            "verify-eq1 --family gauss_jacobi --n 3 --a 0",
+            "knots --family chebyshev2 --n 3 --b 2",
+        ],
+        ids=["formula-with-explore", "explore-with-formula", "alpha", "a", "b"],
+    )
+    def test_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_defaults_apply_only_to_their_family(self, capsys):
+        code, out, _ = run(capsys, "knots", "--family", "equispaced", "--n", "3", "--b", "3")
+        assert code == 0
+        assert json_lines(out)[0]["points"][:1] == ["-1.0"]
+
+
 class TestConfig:
     def test_determinism_byte_identical(self, capsys):
         args = ("verify-eq1", "--family", "chebyshev2", "--n", "4", "--p-max", "3",

@@ -1,0 +1,30 @@
+"""The terms h_i^(p)(y0) of the integer kernel against the exact dyadic oracle
+(tests/exact_oracle.py), in ulps of the working precision at the data scale."""
+import pytest
+
+from exact_oracle import GRID_N, exact_sum, grid_errors
+
+#: The largest per-term error of the libmp path that the integer kernel
+#: replaced, measured with the same oracle on the same grid (n = 40 at 1024
+#: bits is measured by running exact_oracle.py, not here: it costs about a
+#: minute of exact products).  The kernel may be no worse.
+LIBMP_MAX_ULPS = {64: 262.334, 256: 262.376, 1024: 78.577}
+
+#: The kernel's own largest error on the whole grid was 6.5 ulps; this
+#: bound keeps a loss of guard bits from hiding under the libmp maximum.
+KERNEL_MAX_ULPS = 16
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_terms_against_exact_oracle(bits):
+    ns = GRID_N if bits < 1024 else [n for n in GRID_N if n <= 17]
+    worst = {}
+    for family, n, err, exact in grid_errors(bits, ns):
+        worst[family, n] = err
+        if n <= 8:
+            # the oracle's own formula: sum_i N_i / G_i^3 is exactly 0 for p >= 1
+            assert all(exact_sum(rows[p]) == 0 for rows in exact for p in range(1, len(rows)))
+            assert all(exact_sum(rows[0]) == 1 for rows in exact)
+    top = max(worst.values())
+    assert top <= LIBMP_MAX_ULPS[bits], worst
+    assert top <= KERNEL_MAX_ULPS, worst
