@@ -89,6 +89,15 @@ class ApFloat:
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "precision_bits", precision_bits)
 
+    @classmethod
+    def _wrap(cls, raw, precision_bits: int) -> "ApFloat":
+        """A raw mpf the caller has already rounded to a checked precision,
+        wrapped without re-validating either."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "precision_bits", precision_bits)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ApFloat is immutable")
 
@@ -405,9 +414,9 @@ class NumPoly:
 
 def max_abs(values: Sequence[ApFloat]) -> ApFloat | None:
     """Largest |v| among the given values, or None for an empty sequence."""
-    best = None
+    best, prec = None, None
     for v in values:
-        a = abs(v)
-        if best is None or a > best:
-            best = a
-    return best
+        a = mpf_abs(v.raw)
+        if best is None or mpf_cmp(a, best) > 0:
+            best, prec = a, v.precision_bits
+    return None if best is None else ApFloat._wrap(best, prec)

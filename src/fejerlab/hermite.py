@@ -49,7 +49,17 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_shift
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_pos,
+    mpf_shift,
+)
 
 from .apnum import _RND, ApFloat, NumPoly, _common_scale, _man_exp, _renorm, max_abs
 from .knots import KnotSet, chebyshev1_knots
@@ -332,7 +342,7 @@ def derivative_sum(
     acc = fzero
     for val in row:
         acc = mpf_add(acc, val, wp, _RND)
-        terms.append(ApFloat(mpf_pos(val, out_prec, _RND), out_prec))
+        terms.append(ApFloat._wrap(mpf_pos(val, out_prec, _RND), out_prec))
     residual = ApFloat(mpf_pos(acc, out_prec, _RND), out_prec)
     return residual, terms
 
@@ -345,7 +355,5 @@ def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:
     meaningless.
     """
     m = max_abs(values)
-    one = ApFloat(1, precision_bits)
-    if m is None or m < one:
-        m = one
-    return ApFloat(mpf_shift(m.raw, 40 - precision_bits), precision_bits)
+    scale = fone if m is None or mpf_cmp(m.raw, fone) < 0 else m.raw
+    return ApFloat(mpf_shift(scale, 40 - precision_bits), precision_bits)

@@ -1,37 +1,42 @@
 """Knot-system generators: Chebyshev (first and second kind), equispaced,
 and Gauss-Jacobi points at arbitrary precision.
 
-Jacobi knots are the roots of the Jacobi polynomial P_n^(alpha,beta), found by
-Newton iteration on the three-term recurrence.  Robustness comes from the
-interlacing ladder: the roots of consecutive degrees strictly interlace, so
-each stage brackets every root of the next inside an interval with a known
-sign change, and Newton falls back to bisection whenever it steps outside its
-bracket.  No external root finder is involved.  Stage k of the ladder is a
-pure function of (alpha, beta, k, precision), so one functools.lru_cache
-bounded at _STAGE_CAP stages shares it between calls and threads.
+Jacobi knots are the roots of the Jacobi polynomial P_n^(alpha,beta), found
+by one solve at degree n, O(n^2) operations per knot set.  Float64 Newton on
+the three-term recurrence, with Maehly deflation against the roots already
+found (Stoer & Bulirsch, Introduction to Numerical Analysis, ch. 5), seeds
+every root; Newton in Python-int fixed point at the precision plus
+_ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed, about
+four evaluations per root at 256 bits (low-precision seeds as in Johansson &
+Mezzarobba, arXiv:1802.03948).  Under parity, alpha = beta, only the positive
+half is solved and then mirrored.  Robustness comes from a certificate, not
+from the path to the roots: the signs of P_n at -1, at the midpoints of
+consecutive roots and at 1 must alternate, which proves exactly one root in
+each cell.  A set that fails it raises ConvergenceFailure; a wrong knot is
+never returned.  No external root finder is involved.  A finished set is a
+pure function of (n, alpha, beta, precision), so one functools.lru_cache
+bounded at _KNOT_SET_CAP sets shares it between calls and threads.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import (
-    fnone,
     fone,
     from_int,
+    from_man_exp,
     from_rational,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_cos,
     mpf_div,
-    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_pi,
     mpf_pos,
-    mpf_shift,
     mpf_sub,
 )
 
@@ -134,44 +139,33 @@ def _check_jacobi_params(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fra
     return alpha, beta
 
 
-def _jacobi_step_coeffs(alpha: Fraction, beta: Fraction, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact coefficients with P_j = (A x + B) P_{j-1} - C P_{j-2}, j >= 1,
-    where P_{-1} = 0 and P_0 = 1."""
-    s = alpha + beta
-    if j == 1:
-        return (s + 2) / 2, (alpha - beta) / 2, Fraction(0)
-    a1 = 2 * j * (j + s) * (2 * j + s - 2)
-    a2 = (2 * j + s - 1) * (alpha * alpha - beta * beta)
-    a3 = (2 * j + s - 2) * (2 * j + s - 1) * (2 * j + s)
-    a4 = 2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + s)
-    return a3 / a1, a2 / a1, a4 / a1
+def _integer_steps(alpha: Fraction, beta: Fraction, n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The three-term recurrence of P_n^(alpha,beta), exactly, as integer steps
+    (a, b, c, den) with den P_j = (a x + b) P_{j-1} - c P_{j-2}, j = 1..n,
+    where P_{-1} = 0 and P_0 = 1.
 
-
-def _raw_step(alpha: Fraction, beta: Fraction, j: int, wp: int) -> tuple:
-    """The coefficients of step j, each correctly rounded to a raw mpf at wp bits."""
-    return tuple(
-        from_rational(c.numerator, c.denominator, wp, _RND)
-        for c in _jacobi_step_coeffs(alpha, beta, j)
-    )
-
-
-def _jacobi_value_derivative(steps, x, wp: int):
-    """(P_k(x), P_k'(x)) as raw mpf values for k = len(steps), by the
-    recurrence pair from P_{-1} = 0 and P_0 = 1."""
-    p_prev, d_prev, p_cur, d_cur = fzero, fzero, fone, fzero
-    for aj, bj, cj in steps:
-        axb = mpf_add(mpf_mul(aj, x, wp, _RND), bj, wp, _RND)
-        p_next = mpf_sub(
-            mpf_mul(axb, p_cur, wp, _RND), mpf_mul(cj, p_prev, wp, _RND), wp, _RND
-        )
-        d_next = mpf_sub(
-            mpf_add(mpf_mul(aj, p_cur, wp, _RND), mpf_mul(axb, d_cur, wp, _RND), wp, _RND),
-            mpf_mul(cj, d_prev, wp, _RND),
-            wp,
-            _RND,
-        )
-        p_prev, d_prev, p_cur, d_cur = p_cur, d_cur, p_next, d_next
-    return p_cur, d_cur
+    These are the classical coefficients (Szego, Orthogonal Polynomials,
+    (4.5.1)) times D^3, with alpha = A/D and beta = B/D over one denominator,
+    divided by their common factor.
+    """
+    D = math.lcm(alpha.denominator, beta.denominator)
+    A, B = int(alpha * D), int(beta * D)
+    S = A + B
+    steps = []
+    for j in range(1, n + 1):
+        t = 2 * j * D + S
+        if j == 1:
+            step = (S + 2 * D, A - B, 0, 2 * D)
+        else:
+            step = (
+                (t - 2 * D) * (t - D) * t,
+                (t - D) * (A * A - B * B),
+                2 * (j * D + A - D) * (j * D + B - D) * t,
+                2 * j * (j * D + S) * (t - 2 * D) * D,
+            )
+        g = math.gcd(*step)
+        steps.append(tuple(v // g for v in step))
+    return tuple(steps)
 
 
 def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[ApFloat, ApFloat]:
@@ -180,103 +174,160 @@ def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[Ap
     if n < 0:
         raise ValueError("n must be >= 0")
     wp = x.precision_bits
-    steps = [_raw_step(alpha, beta, j, wp) for j in range(1, n + 1)]
-    value, deriv = _jacobi_value_derivative(steps, x.raw, wp)
+    # The recurrence pair for (P_k, P_k') from P_{-1} = 0 and P_0 = 1, each
+    # step coefficient correctly rounded to wp bits.
+    value_prev, deriv_prev, value, deriv = fzero, fzero, fone, fzero
+    for a, b, c, den in _integer_steps(alpha, beta, n):
+        a, b, c = (from_rational(v, den, wp, _RND) for v in (a, b, c))
+        axb = mpf_add(mpf_mul(a, x.raw, wp, _RND), b, wp, _RND)
+        value_prev, deriv_prev, value, deriv = (
+            value,
+            deriv,
+            mpf_sub(mpf_mul(axb, value, wp, _RND), mpf_mul(c, value_prev, wp, _RND), wp, _RND),
+            mpf_sub(
+                mpf_add(mpf_mul(a, value, wp, _RND), mpf_mul(axb, deriv, wp, _RND), wp, _RND),
+                mpf_mul(c, deriv_prev, wp, _RND),
+                wp,
+                _RND,
+            ),
+        )
     return ApFloat(value, wp), ApFloat(deriv, wp)
 
 
-def _sign(raw) -> int:
-    if raw == fzero:
-        return 0
-    return -1 if raw[0] else 1
+def _seed_roots(steps, symmetric: bool) -> list[float]:
+    """The roots of P_n to about float64 accuracy, ascending; only the
+    positive ones when P_n has parity (symmetric).
 
-
-def _polish_root(eval_kd, seed, lo, hi, sign_lo, threshold, wp):
-    """One safeguarded Newton run inside the bracket (lo, hi), where P has
-    the sign sign_lo (+1 or -1) at lo.
-
-    eval_kd(x) -> (P(x), P'(x)) raw pair.  Steps leaving the bracket are
-    replaced by bisection; the bracket shrinks with every sign evaluation.
+    Newton on the three-term recurrence from cos((2(n-j)-1) pi / 2n), with
+    Maehly deflation against the roots already known (their mirror images
+    and 0 too, under parity), so no two seeds settle on one root.  P and P'
+    are rescaled together past 1e100, since only their ratio is read.  An
+    iterate that leaves (-1, 1), or (0, 1) under parity, is replaced by the
+    midpoint of the previous one and the edge it crossed.  A seed is done
+    when its step falls below 2^-26: the error left after that step is at
+    float rounding level.
     """
-    x = seed
-    if not (mpf_lt(lo, x) and mpf_lt(x, hi)):
-        x = mpf_shift(mpf_add(lo, hi, wp, _RND), -1)
-    for _ in range(_NEWTON_CAP):
-        f, d = eval_kd(x)
-        sf = _sign(f)
-        if sf == 0:
-            return x
-        if sf == sign_lo:
-            lo = x
+    n = len(steps)
+    steps = [(a / den, b / den, c / den) for a, b, c, den in steps]
+    roots: list[float] = []
+    known = [0.0] if symmetric and n % 2 else []
+    low = 0.0 if symmetric else -1.0
+    for j in range((n + 1) // 2 if symmetric else 0, n):
+        x = math.cos((2 * (n - j) - 1) * math.pi / (2 * n))
+        for _ in range(_NEWTON_CAP):
+            p_prev, d_prev, p, d = 0.0, 0.0, 1.0, 0.0
+            for a, b, c in steps:
+                axb = a * x + b
+                p_prev, d_prev, p, d = p, d, axb * p - c * p_prev, a * p + axb * d - c * d_prev
+                if abs(p) > 1e100:
+                    p_prev, d_prev, p, d = p_prev * 1e-100, d_prev * 1e-100, p * 1e-100, d * 1e-100
+            try:
+                step = p / (d - p * sum(1.0 / (x - r) for r in known))
+            except ZeroDivisionError:
+                raise ConvergenceFailure("Newton seed hit a root already found") from None
+            nxt = x - step
+            if nxt <= low:
+                nxt = (x + low) / 2
+            elif nxt >= 1.0:
+                nxt = (x + 1.0) / 2
+            if abs(step) < 2.0 ** -26:
+                break
+            x = nxt
         else:
-            hi = x
-        step = mpf_div(f, d, wp, _RND)
-        nxt = mpf_sub(x, step, wp, _RND)
-        # Test the Newton step before the bracket: once it drops below the
-        # threshold the iterate may sit within one ulp of a bracket edge, and
-        # bouncing to the midpoint would throw the convergence away.
-        if mpf_lt(mpf_abs(step), threshold):
-            return nxt
-        if not (mpf_lt(lo, nxt) and mpf_lt(nxt, hi)):
-            nxt = mpf_shift(mpf_add(lo, hi, wp, _RND), -1)
-            if mpf_lt(mpf_abs(mpf_sub(nxt, x, wp, _RND)), threshold):
-                return nxt  # bracket has collapsed onto the root
-        x = nxt
+            raise ConvergenceFailure("Newton iteration exceeded its step cap")
+        roots.append(nxt)
+        known += [nxt, -nxt] if symmetric else [nxt]
+    return sorted(roots)
+
+
+def _fixed_value_derivative(steps, X: int, wp: int) -> tuple[int, int]:
+    """(P_n, P_n') at x = X 2^-wp, both scaled by 2^wp, in fixed point."""
+    p_prev, d_prev, p, d = 0, 0, 1 << wp, 0
+    for a, b, c, den in steps:
+        axb = a * X + (b << wp)
+        p_prev, d_prev, p, d = (
+            p,
+            d,
+            ((axb * p >> wp) - c * p_prev) // den,
+            ((axb * d >> wp) + a * p - c * d_prev) // den,
+        )
+    return p, d
+
+
+def _fixed_sign(steps, X: int, wp: int) -> int:
+    """The sign of P_n(X 2^-wp), or 0 when |P_n| does not clear n 2^(16 - wp)
+    times the largest |P_k| met on the way, a generous bound on the rounding
+    noise of the fixed-point recurrence."""
+    p_prev, p = 0, 1 << wp
+    peak = p
+    for a, b, c, den in steps:
+        p_prev, p = p, (((a * X + (b << wp)) * p >> wp) - c * p_prev) // den
+        peak = max(peak, abs(p))
+    if abs(p) <= (len(steps) * peak) >> (wp - 16):
+        return 0
+    return 1 if p > 0 else -1
+
+
+def _refine(steps, seed: float, wp: int, threshold: int) -> int:
+    """Newton in fixed point from a float seed until the step drops below
+    threshold (in units of 2^-wp); returns the root times 2^wp."""
+    num, den = seed.as_integer_ratio()
+    X = (num << wp) // den
+    for _ in range(_NEWTON_CAP):
+        p, d = _fixed_value_derivative(steps, X, wp)
+        if d == 0:
+            raise ConvergenceFailure("P_n' vanished at a Newton iterate")
+        step = (p << wp) // d
+        X -= step
+        if abs(step) < threshold:
+            return X
     raise ConvergenceFailure("Newton iteration exceeded its step cap")
 
 
-#: Ladder stages kept by _ladder_stage's cache, over all (alpha, beta, wp).
-_STAGE_CAP = 512
+def _certify(steps, roots: list[int], wp: int) -> None:
+    """Prove one root of P_n in each cell between -1, the midpoints of
+    consecutive roots, and 1: the signs of P_n there must alternate, ending
+    positive at 1 (P_n(1) > 0 for alpha > -1).  Raises ConvergenceFailure
+    otherwise, never returns a wrong knot set."""
+    one, n = 1 << wp, len(roots)
+    if not (-one < roots[0] and roots[-1] < one and all(a < b for a, b in zip(roots, roots[1:]))):
+        raise ConvergenceFailure("Jacobi roots are not distinct and inside (-1, 1)")
+    cuts = [-one, *((a + b) >> 1 for a, b in zip(roots, roots[1:])), one]
+    for i, cut in enumerate(cuts):
+        if _fixed_sign(steps, cut, wp) != (-1) ** (n - i):
+            raise ConvergenceFailure("Jacobi root certificate failed: signs do not alternate")
 
 
-@functools.lru_cache(maxsize=_STAGE_CAP)
-def _ladder_stage(alpha: Fraction, beta: Fraction, k: int, wp: int, threshold_exp: int):
-    """(steps, roots) of P_k: the raw recurrence steps 1..k and the k roots,
-    ascending, polished until Newton updates drop below 2^threshold_exp.
+#: Finished Gauss-Jacobi knot sets kept by _jacobi_knot_set's cache.
+_KNOT_SET_CAP = 64
 
-    The roots of P_{k-1} interlace those of P_k, so stage k - 1 brackets
-    every root of stage k; the one root of P_1 is polished inside (-1, 1)
-    like any other.  A stage is a pure function of its arguments and
-    immutable, so threads may share the cache; a race on a cold stage only
-    repeats deterministic work.
+
+@functools.lru_cache(maxsize=_KNOT_SET_CAP)
+def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
+    """The certified, rounded roots of P_n^(alpha,beta) (arguments validated).
+
+    A pure function of its arguments returning an immutable value, so threads
+    share the cache; a race on a cold set only repeats deterministic work.
     """
-    prev_steps, prev_roots = (
-        ((), ()) if k == 1 else _ladder_stage(alpha, beta, k - 1, wp, threshold_exp)
-    )
-    steps = prev_steps + (_raw_step(alpha, beta, k, wp),)
-    threshold = mpf_shift(fone, threshold_exp)
-    brackets = (fnone, *prev_roots, fone)
-    # Bracket j holds root j + 1 of P_k, so k - j roots lie above its lower
-    # end, where P_k (positive leading coefficient) has the sign (-1)^(k-j).
-    # Knowing it saves one evaluation per root.
-    roots = tuple(
-        _polish_root(
-            lambda x: _jacobi_value_derivative(steps, x, wp),
-            _cos_pi(2 * (k - j) - 1, 2 * k, wp),
-            brackets[j],
-            brackets[j + 1],
-            (-1) ** (k - j),
-            threshold,
-            wp,
-        )
-        for j in range(k)
-    )
-    return steps, roots
-
-
-def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The n roots of P_n^(alpha,beta), refined until Newton updates drop
-    below 2^(16 - precision_bits)."""
-    _check_precision(precision_bits)
-    alpha, beta = _check_jacobi_params(alpha, beta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     wp = precision_bits + _ROOT_GUARD_BITS
-    # Upward, so a cold stage finds the one below it cached and the
-    # recursion never runs deeper than one level.
-    for k in range(1, n + 1):
-        _, roots = _ladder_stage(alpha, beta, k, wp, 16 - precision_bits)
-    points = tuple(ApFloat(mpf_pos(r, precision_bits, _RND), precision_bits) for r in roots)
+    steps = _integer_steps(alpha, beta, n)
+    threshold = 1 << (wp + 16 - precision_bits)
+    symmetric = alpha == beta
+    roots = [_refine(steps, seed, wp, threshold) for seed in _seed_roots(steps, symmetric)]
+    if symmetric:
+        # P_n has the parity of n: mirror the positive half, around 0 for odd n.
+        roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots
+    _certify(steps, roots, wp)
+    raws = [from_man_exp(r, -wp, precision_bits, _RND) for r in roots]
+    if symmetric and n % 2:
+        # The middle root is 0, but its knot stays the value this module has
+        # always printed, so stdout stays byte-identical: one libmp Newton
+        # step from cos(pi/2) at wp, which leaves a residue far below 2^-wp
+        # (4.04e-174 for Legendre n = 7 at 256 bits).
+        x = ApFloat(_cos_pi(n, 2 * n, wp), wp)
+        value, deriv = jacobi_eval(n, alpha, beta, x)
+        raws[n // 2] = mpf_pos((x - value / deriv).raw, precision_bits, _RND)
+    points = tuple(ApFloat(r, precision_bits) for r in raws)
     return KnotSet(
         family="gauss_jacobi",
         n=n,
@@ -285,6 +336,16 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
         alpha=alpha,
         beta=beta,
     )
+
+
+def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
+    """The n roots of P_n^(alpha,beta), refined until Newton updates drop
+    below 2^(16 - precision_bits) and certified by sign alternation."""
+    _check_precision(precision_bits)
+    alpha, beta = _check_jacobi_params(alpha, beta)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _jacobi_knot_set(n, alpha, beta, precision_bits)
 
 
 def make_knots(

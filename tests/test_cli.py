@@ -122,7 +122,7 @@ class TestVerifyEq1:
 
 class TestNumericFailure:
     def test_convergence_failure_exits_three(self, capsys, monkeypatch):
-        knots_mod._ladder_stage.cache_clear()
+        knots_mod._jacobi_knot_set.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
         code, out, err = run(
             capsys,
@@ -131,6 +131,29 @@ class TestNumericFailure:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_certificate_exits_three(self, capsys, monkeypatch):
+        knots_mod._jacobi_knot_set.cache_clear()
+        seeds = knots_mod._seed_roots
+        monkeypatch.setattr(
+            knots_mod, "_seed_roots", lambda steps, symmetric: [seeds(steps, symmetric)[0]] * len(steps)
+        )
+        code, out, err = run(
+            capsys,
+            "knots", "--family", "gauss_jacobi", "--n", "8", "--alpha", "1/7", "--beta", "2/7",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_high_degree_extreme_parameters_pass_the_certificate(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "knots", "--family", "gauss_jacobi", "--n", "200", "--alpha", "50",
+            "--beta=-99/100", "--precision-bits", "512",
+        )
+        assert code == 0
+        assert len(json_lines(out)[0]["points"]) == 200
 
     def test_knot_spacing_error_exits_three(self, capsys, monkeypatch):
         def too_close(*args, **kwargs):
@@ -316,6 +339,8 @@ GOLDEN = Path(__file__).parent / "golden"
          "knots --family gauss_jacobi --n 9 --alpha 1/3 --beta 1/5"),
         ("knots_gauss_jacobi_n6_512",
          "knots --family gauss_jacobi --n 6 --alpha=-1/2 --beta 2 --precision-bits 512"),
+        ("knots_gauss_jacobi_legendre_n7",
+         "knots --family gauss_jacobi --n 7 --alpha 0 --beta 0"),
         ("knots_chebyshev2_n6", "knots --family chebyshev2 --n 6"),
         ("verify_eq1_gauss_jacobi",
          "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"

@@ -1,5 +1,8 @@
-"""Knot generators: closed-form values, interlacing, symmetry, and the
-finite-difference oracle for the Jacobi recurrence."""
+"""Knot generators: closed-form values, interlacing, symmetry, the
+finite-difference oracle for the Jacobi recurrence, and the Gauss-Jacobi
+certificate and cache."""
+import hashlib
+import random
 import sys
 import threading
 from fractions import Fraction as F
@@ -7,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import fejerlab.knots as knots_mod
-from fejerlab.apnum import ApFloat, pow2, sqrt, to_apfloat
+from fejerlab.apnum import ApFloat, _man_exp, pow2, sqrt, to_apfloat
 from fejerlab.knots import (
     ConvergenceFailure,
     KnotSet,
@@ -123,6 +126,49 @@ class TestJacobiEval:
             jacobi_eval(2, F(-1), F(0), to_apfloat(F(0), BITS))
 
 
+def _textbook_step(alpha, beta, j):
+    """(A, B, C) with P_j = (A x + B) P_{j-1} - C P_{j-2} (Szego (4.5.1))."""
+    s = alpha + beta
+    if j == 1:
+        return (s + 2) / 2, (alpha - beta) / 2, F(0)
+    a1 = 2 * j * (j + s) * (2 * j + s - 2)
+    a2 = (2 * j + s - 1) * (alpha * alpha - beta * beta)
+    a3 = (2 * j + s - 2) * (2 * j + s - 1) * (2 * j + s)
+    a4 = 2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + s)
+    return a3 / a1, a2 / a1, a4 / a1
+
+
+class TestIntegerSteps:
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(F(0), F(0)), (F(-1, 2), F(-1, 2)), (F(-99, 100), F(7)), (F(50), F(-99, 100)),
+         (F(217, 73), F(-10, 19)), (F(1, 3), F(1, 5))],
+    )
+    def test_match_the_textbook_recurrence(self, alpha, beta):
+        steps = knots_mod._integer_steps(alpha, beta, 60)
+        assert len(steps) == 60
+        for j, (a, b, c, den) in enumerate(steps, start=1):
+            assert den > 0
+            assert (F(a, den), F(b, den), F(c, den)) == _textbook_step(alpha, beta, j)
+
+    def test_jacobi_eval_values_pinned(self):
+        # sha256 over jacobi_eval's exact values and derivatives, written from
+        # the module before the recurrence moved to integer steps
+        pairs = [(F(0), F(0)), (F(-1, 2), F(-1, 2)), (F(1, 3), F(1, 5)), (F(-99, 100), F(7)),
+                 (F(50), F(-99, 100)), (F(217, 73), F(-10, 19))]
+        xs = [F(-1), F(-9, 10), F(-1, 3), F(0), F(1, 7), F(2, 3), F(99, 100), F(1)]
+        h = hashlib.sha256()
+        for bits in (64, 256, 512):
+            for alpha, beta in pairs:
+                for n in (*range(13), 25, 40):
+                    for x in xs:
+                        v, d = jacobi_eval(n, alpha, beta, to_apfloat(x, bits))
+                        h.update(("%d,%d;%d,%d;%d,%d\n" % (
+                            *_man_exp(v.raw), *_man_exp(d.raw), v.precision_bits, d.precision_bits
+                        )).encode())
+        assert h.hexdigest() == "af3b62ab824256f1d406831c2f0d8ebeca31d64b6c3e8bff8092a882923cebd3"
+
+
 class TestGaussJacobi:
     def test_chebyshev_case_matches_closed_form(self):
         gj = gauss_jacobi_knots(5, F(-1, 2), F(-1, 2), BITS)
@@ -168,8 +214,22 @@ class TestGaussJacobi:
         assert -one < k.points[0] and k.points[-1] < one
 
     def test_newton_cap_failure(self, monkeypatch):
-        knots_mod._ladder_stage.cache_clear()
+        knots_mod._jacobi_knot_set.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
+        with pytest.raises(ConvergenceFailure):
+            gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
+
+    def test_duplicate_seed_fails_the_certificate(self, monkeypatch):
+        # two seeds on one root refine to one knot twice: the set must be
+        # refused, never returned with a root missing
+        knots_mod._jacobi_knot_set.cache_clear()
+        seeds = knots_mod._seed_roots
+
+        def duplicated(steps, symmetric):
+            roots = seeds(steps, symmetric)
+            return [roots[0], *roots[:-1]]
+
+        monkeypatch.setattr(knots_mod, "_seed_roots", duplicated)
         with pytest.raises(ConvergenceFailure):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
 
@@ -177,26 +237,29 @@ class TestGaussJacobi:
         "alpha, beta", [(F(0), F(0)), (F(-99, 100), F(7)), (F(9), F(-99, 100)), (F(1, 3), F(1, 5))]
     )
     def test_bracket_signs_alternate(self, alpha, beta):
-        # the ladder passes (-1)^(k-j) as the sign of P_k at the lower end of
-        # bracket j instead of evaluating it there
-        wp = BITS + knots_mod._ROOT_GUARD_BITS
-        prev = ()
-        for k in range(1, 21):
-            lows = (-1, *prev)
-            for j, lo in enumerate(lows):
-                value, _ = jacobi_eval(k, alpha, beta, ApFloat(lo, wp))
-                assert knots_mod._sign(value.raw) == (-1) ** (k - j)
-            _, roots = knots_mod._ladder_stage(alpha, beta, k, wp, 16 - BITS)
-            prev = tuple(ApFloat(r, wp) for r in roots)
+        # the certificate's brackets, checked again with jacobi_eval: P_n has
+        # the sign (-1)^(n-i) at cut i of -1, the midpoints of consecutive
+        # knots and 1
+        for n in range(1, 21):
+            points = gauss_jacobi_knots(n, alpha, beta, BITS).points
+            cuts = [ApFloat(-1, BITS), *((a + b).scale2(-1) for a, b in zip(points, points[1:])), ApFloat(1, BITS)]
+            for i, cut in enumerate(cuts):
+                value, _ = jacobi_eval(n, alpha, beta, cut)
+                assert (value > 0) == ((n - i) % 2 == 0) and not value.is_zero()
+
+    def test_seeds_stay_inside_the_interval(self):
+        # unclamped, a float Newton seed leaves (-1, 1) here and never
+        # converges inside the step cap
+        k = gauss_jacobi_knots(54, F(9), F(-99, 100), 64)
+        assert k.n == 54 and -1 < k.points[0] and k.points[-1] < 1
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             gauss_jacobi_knots(3, F(-3, 2), F(0), BITS)
 
-    def test_concurrent_ladder_extension(self):
-        # four threads race to build one cold ladder; none may see a stage
-        # another has not finished
-        knots_mod._ladder_stage.cache_clear()
+    def test_concurrent_cold_solve(self):
+        # four threads race to solve one cold knot set; all must get its bits
+        knots_mod._jacobi_knot_set.cache_clear()
         results, errors = [], []
 
         def build():
@@ -219,26 +282,84 @@ class TestGaussJacobi:
         assert errors == []
         assert len(results) == 4 and all(r == results[0] for r in results)
 
-    def test_ladder_cache_is_bounded_and_keeps_recent_use(self, monkeypatch):
-        knots_mod._ladder_stage.cache_clear()
-        cap = knots_mod._ladder_stage.cache_info().maxsize
+    def test_knot_set_cache_is_bounded_and_keeps_recent_use(self, monkeypatch):
+        knots_mod._jacobi_knot_set.cache_clear()
+        cap = knots_mod._jacobi_knot_set.cache_info().maxsize
         hot = (F(1, 3), F(1, 5))
         for i in range(cap + 100):
-            if i % 100 == 0:
+            if i % (cap // 2) == 0:
                 gauss_jacobi_knots(3, *hot, 64)
             gauss_jacobi_knots(1, F(i, cap + 101), F(1, 2), 64)
-        assert knots_mod._ladder_stage.cache_info().currsize <= cap
-        polish, polished = knots_mod._polish_root, []
+        assert knots_mod._jacobi_knot_set.cache_info().currsize <= cap
+        seeds, solved = knots_mod._seed_roots, []
 
-        def counting(*args):
-            polished.append(args)
-            return polish(*args)
+        def counting(steps, symmetric):
+            solved.append(len(steps))
+            return seeds(steps, symmetric)
 
-        monkeypatch.setattr(knots_mod, "_polish_root", counting)
+        monkeypatch.setattr(knots_mod, "_seed_roots", counting)
         gauss_jacobi_knots(3, *hot, 64)
-        assert polished == []
+        assert solved == []
         gauss_jacobi_knots(1, F(0), F(1, 2), 64)
-        assert len(polished) == 1
+        assert solved == [1]
+
+
+def _random_pairs(count, seed=20261018):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            den = rng.randint(1, 97)
+            pair.append(F(rng.randint(1 - den, 12 * den), den))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+EXTREME_PAIRS = [
+    (F(-99, 100), F(-99, 100)),
+    (F(-99, 100), F(7)),
+    (F(50), F(-99, 100)),
+    (F(50), F(50)),
+    (F(-1, 2), F(-1, 2)),
+    (F(0), F(0)),
+]
+
+
+def _knot_digest(cases):
+    h = hashlib.sha256()
+    for alpha, beta, n, bits in cases:
+        points = gauss_jacobi_knots(n, alpha, beta, bits).points
+        h.update(f"{alpha} {beta} {n} {bits}:".encode())
+        h.update(";".join("%d,%d" % _man_exp(p.raw) for p in points).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    # sha256 over the exact (mantissa, exponent) of every rounded knot, written
+    # from the interlacing-ladder solver that preceded the degree-n solve
+    def test_random_pairs_small_n(self):
+        cases = [
+            (a, b, n, bits)
+            for bits in (64, 256)
+            for a, b in _random_pairs(400)
+            for n in range(1, 11)
+        ]
+        assert _knot_digest(cases) == (
+            "4315acdb9de76d164055c2c65b72541887f3934b4187c54aa71f4a7c75f8497a"
+        )
+
+    def test_extreme_pairs(self):
+        cases = [
+            (a, b, n, bits)
+            for bits in (256, 512)
+            for a, b in EXTREME_PAIRS
+            for n in (1, 2, 3, 5, 20, 40)
+        ]
+        assert _knot_digest(cases) == (
+            "542f12387ad2c1044e53d1ae6820de2b70c112b682bedbc8a877e805bd58df82"
+        )
 
 
 class TestKnotSetGuards:
