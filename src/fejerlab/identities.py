@@ -16,16 +16,21 @@ The same machinery reproduces, exactly, the second-derivative balance behind
 h_i''(0) = 2 / x_i^2 off center and h_mid''(0) = (2/3)(1 - n^2) at the middle
 knot, and these cancel because sum_i h_i''(0) = 0.
 
-Nothing here multiplies polynomials.  T_n comes from its coefficient ratio
-in O(n) integer steps, Newton's identities read only e_1..e_m of the reversed
-W, and h_mid''(0) is read off two coefficients of T_n.
+Nothing here multiplies polynomials, and no check builds all of T_n.  The
+coefficients of T_n come from a walk that runs bottom-up from the ratio of its
+differential equation and stops at c_(2m+1): Newton's identities read only
+e_1..e_m of the reversed W, which come from c_1, c_3, ..., c_(2m+1), so PS(m, n)
+costs O(m^2) integer steps whatever n is.  Newton's identities run in
+integers, and h_mid''(0) is read off c_1 and c_3.  The full W is built only
+when a report's witness is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .ratpoly import RatPoly, NotOdd, chebyshev_T, newton_power_sums
+from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, chebyshev_T, newton_power_sums
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,11 @@ class IdentityReport:
     lhs: Fraction
     rhs: Fraction
     holds: bool
-    witness: RatPoly
+
+    @cached_property
+    def witness(self) -> RatPoly:
+        """The full W = sin2_charpoly(n), built on first read."""
+        return sin2_charpoly(self.n)
 
 
 def _check_odd(n: int) -> int:
@@ -60,21 +69,25 @@ def inverse_power_sum(n: int, m: int) -> Fraction:
     """PS(m, n) = sum_{k=1}^{(n-1)/2} 1 / sin^(2m)(k pi / n), exactly.
 
     Computed as the m-th power sum of the roots of the reversed charpoly
-    (reversal sends each root r to 1/r).
+    (reversal sends each root r to 1/r).  Only the degree-k truncation
+    c_1 + c_3 y + ... + c_(2k+1) y^k of W is built, k = min(m, (n-1)/2): its
+    reversal has the same e_1..e_k as the reversal of W, and p_1..p_m read no
+    e_i with i > min(m, (n-1)/2).  When m > (n-1)/2 the truncation is W.
     """
     _check_odd(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    return newton_power_sums(sin2_charpoly(n).reciprocal(), m)[m - 1]
+    k = min(m, (n - 1) // 2)
+    low = RatPoly(_chebyshev_walk(n, 2 * k + 1))
+    return newton_power_sums(low.reciprocal(), m)[m - 1]
 
 
 def verify_cosecant_sum(n: int) -> IdentityReport:
     """Check 2 * PS(1, n) = (n^2 - 1)/3 by exact rational comparison."""
     _check_odd(n)
-    witness = sin2_charpoly(n)
-    lhs = 2 * newton_power_sums(witness.reciprocal(), 1)[0]
+    lhs = 2 * inverse_power_sum(n, 1)
     rhs = Fraction(n * n - 1, 3)
-    return IdentityReport(n=n, lhs=lhs, rhs=rhs, holds=lhs == rhs, witness=witness)
+    return IdentityReport(n=n, lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
 def midpoint_second_derivative(n: int) -> Fraction:
@@ -86,8 +99,8 @@ def midpoint_second_derivative(n: int) -> Fraction:
     + O(x^4)) / n^2 and h_mid''(0) = 4 c_1 c_3 / n^2.  Equals (2/3)(1 - n^2).
     """
     _check_odd(n)
-    c = chebyshev_T(n).coeffs
-    return Fraction(4 * c[1] * c[3], n * n)
+    c1, c3 = _chebyshev_walk(n, 3)
+    return Fraction(4 * c1 * c3, n * n)
 
 
 def second_derivative_balance(n: int) -> tuple[Fraction, Fraction]:

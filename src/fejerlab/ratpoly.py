@@ -165,29 +165,43 @@ class RatPoly:
 X = RatPoly([0, 1])
 
 
+def _chebyshev_walk(n: int, top: int) -> list[int]:
+    """The coefficients c_j of T_n with j = n mod 2, n mod 2 + 2, ..., up to
+    min(top, n), bottom-up.
+
+    T_n solves (1 - x^2) T'' - x T' + n^2 T = 0.  Comparing the coefficients
+    of x^j gives the two-term ratio
+
+        c_(n mod 2) = (-1)^floor(n/2) * (n if n is odd else 1),
+        c_(j+2)     = c_j (j - n)(j + n) / ((j + 1)(j + 2)),
+
+    and every c_j with j of the other parity from n is 0.  Each c_j is an
+    integer, so every division is exact in integers.  The walk costs one step
+    per coefficient read, so c_1..c_(2m+1) of an odd T_n cost O(m) steps
+    whatever n is.
+    """
+    first = n % 2
+    c = (-1) ** (n // 2) * (n if first else 1)
+    out = [c]
+    for j in range(first, min(top, n) - 1, 2):
+        c = c * (j - n) * (j + n) // ((j + 1) * (j + 2))
+        out.append(c)
+    return out
+
+
 def chebyshev_T(n: int) -> RatPoly:
-    """Chebyshev polynomial of the first kind, written top-down from c_n.
+    """Chebyshev polynomial of the first kind, from its differential equation.
 
-    The power-form coefficients c_j of T_n obey the two-term ratio
-
-        c_n = 2^(n-1),   c_{n-2k-2} = -c_{n-2k} (n-2k)(n-2k-1) / (4(k+1)(n-k-1))
-
-    (Mason & Handscomb, *Chebyshev Polynomials*, 2003), and every c_j with
-    j of the other parity from n is 0.  Each c_j is an integer, so every
-    division is exact in integers; the tests check the result against the
+    The coefficient walk of `_chebyshev_walk` runs bottom-up from c_(n mod 2)
+    to the top coefficient c_n = 2^(n-1) (Mason & Handscomb, *Chebyshev
+    Polynomials*, 2003, for the ODE); the tests check the result against the
     three-term recurrence T_{k+1} = 2x T_k - T_{k-1}.  No T_k with k < n is
     built.  T_0 = 1.
     """
     if n < 0:
         raise ValueError("chebyshev_T needs n >= 0")
-    if n == 0:
-        return RatPoly([1])
     coeffs = [0] * (n + 1)
-    c = coeffs[n] = 1 << (n - 1)
-    for k in range(n // 2):
-        j = n - 2 * k
-        c = -c * j * (j - 1) // (4 * (k + 1) * (n - k - 1))
-        coeffs[j - 2] = c
+    coeffs[n % 2 :: 2] = _chebyshev_walk(n, n)
     return RatPoly(coeffs)
 
 
@@ -200,24 +214,35 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
 
         p_k = sum_{i=1}^{min(k-1,d)} (-1)^(i-1) e_i p_{k-i}
               + (k <= d) * (-1)^(k-1) k e_k.
+
+    p_1..p_{m_max} read e_i only for i <= min(m_max, d), so only the top
+    min(m_max, d) + 1 coefficients are read.  They are scaled to integers
+    b_i = L c_{d-i} by their common denominator L; then with lead = b_0,
+    P_k = lead^k p_k is an integer,
+
+        P_k = -sum_{i=1}^{min(k-1,d)} b_i lead^(i-1) P_{k-i}
+              - (k <= d) k b_k lead^(k-1),
+
+    and one Fraction is built per output at the end.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     d = a.degree
     if d < 1:
         raise ValueError("need a nonzero polynomial of degree >= 1")
-    lead = a.coeffs[-1]
-    # p_1..p_{m_max} read e_i only for i <= m_max.
-    e = [Fraction(1)] + [(-1) ** i * a.coeffs[d - i] / lead for i in range(1, min(m_max, d) + 1)]
-    sums: list[Fraction] = []
+    top = a.coeffs[d - min(m_max, d) :][::-1]
+    scale = math.lcm(*(c.denominator for c in top))
+    b = [c.numerator * (scale // c.denominator) for c in top]
+    lead = b[0]
+    # q_i = b_i lead^(i-1), the weight of P_{k-i} in P_k
+    q = [0] + [b[i] * lead ** (i - 1) for i in range(1, len(b))]
+    P = [1]
     for k in range(1, m_max + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, d) + 1):
-            acc += (-1) ** (i - 1) * e[i] * sums[k - i - 1]
+        acc = sum(q[i] * P[k - i] for i in range(1, min(k - 1, d) + 1))
         if k <= d:
-            acc += (-1) ** (k - 1) * k * e[k]
-        sums.append(acc)
-    return sums
+            acc += k * q[k]
+        P.append(-acc)
+    return [Fraction(P[k], lead**k) for k in range(1, m_max + 1)]
 
 
 def rational_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RatPoly:

@@ -346,11 +346,15 @@ GOLDEN = Path(__file__).parent / "golden"
          "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"
          " --y0 0 --y0 3/10"),
         ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
+        ("verify_identity_n201", "verify-identity --n-max 201"),
+        ("power_sum_m3_n61", "power-sum --m 3 --n-max 61"),
+        ("power_sum_m8_n3", "power-sum --m 8 --n 3"),
+        ("conjecture_power_m2", "conjecture --m 2 --train 3,5,7,9,11 --holdout 13,15"),
     ],
 )
 def test_stdout_matches_golden_file(name, argv, capsys, monkeypatch):
-    # the files pin the root ladder, the basis and explore's 512-bit rebuild
-    # to the bits they had when they were written
+    # the files pin the knot solve, the basis, explore's 512-bit rebuild and
+    # the exact layer's rationals to the bits they had when they were written
     monkeypatch.delenv(cli.PRECISION_ENV_VAR, raising=False)
     code, out, _ = run(capsys, *argv.split())
     assert code == 0

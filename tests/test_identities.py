@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fejerlab import identities
 from fejerlab.apnum import ApFloat, NumPoly, pi, pow2, sin, to_apfloat
 from fejerlab.hermite import derivative_sum, hermite_fejer_basis, scaled_tolerance
 from fejerlab.identities import (
@@ -14,7 +15,7 @@ from fejerlab.identities import (
     verify_cosecant_sum,
 )
 from fejerlab.knots import chebyshev1_knots
-from fejerlab.ratpoly import NotOdd, RatPoly
+from fejerlab.ratpoly import NotOdd, RatPoly, chebyshev_T, newton_power_sums
 
 
 class TestSin2Charpoly:
@@ -66,6 +67,18 @@ class TestInversePowerSum:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             inverse_power_sum(3, 0)
+
+    @pytest.mark.parametrize("n", range(3, 202, 2))
+    def test_matches_the_full_charpoly_route(self, n):
+        # the oracle reverses all of W; n = 3, 5, 7 have m > (n-1)/2
+        full = newton_power_sums(sin2_charpoly(n).reciprocal(), 8)
+        for m in range(1, 9):
+            assert inverse_power_sum(n, m) == full[m - 1], m
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 1001, 1000001])
+    def test_closed_forms(self, n):
+        assert inverse_power_sum(n, 1) == F(n * n - 1, 6)
+        assert inverse_power_sum(n, 2) == F((n * n - 1) * (n * n + 11), 90)
 
     @pytest.mark.parametrize("n", range(3, 52, 2))
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -166,3 +179,21 @@ def test_exact_layer_multiplies_no_polynomials(monkeypatch):
     off, mid = second_derivative_balance(n)
     assert off + mid == 0
     assert calls == []
+
+
+def test_exact_layer_reads_no_full_chebyshev_polynomial(monkeypatch):
+    # the checks read c_1..c_(2m+1) only, so they stay cheap at large n
+    def refuse(n):
+        raise AssertionError(f"chebyshev_T({n}) built")
+
+    monkeypatch.setattr(identities, "chebyshev_T", refuse)
+    n = 100001
+    assert verify_cosecant_sum(n).holds
+    assert inverse_power_sum(n, 4) > 0
+    off, mid = second_derivative_balance(n)
+    assert off + mid == 0
+    reports = [verify_cosecant_sum(k) for k in (3, 5, 101)]
+    monkeypatch.undo()
+    # the witness is built when it is read, and is still the full W
+    for report in reports:
+        assert report.witness == chebyshev_T(report.n).odd_part()

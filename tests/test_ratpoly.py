@@ -13,6 +13,7 @@ from fejerlab.ratpoly import (
     RatPoly,
     X,
     ZeroConstantTerm,
+    _chebyshev_walk,
     chebyshev_T,
     format_rational,
     newton_power_sums,
@@ -141,6 +142,20 @@ class TestChebyshev:
             composed = composed * tn + RatPoly([c])
         assert composed == chebyshev_T(m * n)
 
+    def test_walk_is_every_prefix_of_the_full_polynomial(self):
+        # the PS/balance route reads the walk stopped early; each stop must
+        # give a prefix of the same coefficients, and stops past n give all
+        for n in range(401):
+            full = list(chebyshev_T(n).coeffs[n % 2 :: 2])
+            for top in range(n % 2, n + 1, 2):
+                assert _chebyshev_walk(n, top) == full[: top // 2 + 1], (n, top)
+            assert _chebyshev_walk(n, n + 7) == full
+
+    def test_walk_stopped_early_ignores_the_top(self):
+        # c_1, c_3 of T_n are n(-1)^((n-1)/2) and the same times (1 - n^2)/6
+        n = 10**6 + 1
+        assert _chebyshev_walk(n, 3) == [n, n * (1 - n * n) // 6]
+
     @pytest.mark.parametrize("n", [3, 5, 9, 21])
     def test_odd_n_is_odd_function(self, n):
         chebyshev_T(n).odd_part()  # must not raise
@@ -196,6 +211,22 @@ def poly_from_roots(roots):
     return out
 
 
+def newton_by_fractions(a, m_max):
+    """Newton's identities with Fraction e_i, the form the integer one replaced."""
+    d = a.degree
+    lead = a.coeffs[-1]
+    e = [F(1)] + [(-1) ** i * a.coeffs[d - i] / lead for i in range(1, min(m_max, d) + 1)]
+    sums = []
+    for k in range(1, m_max + 1):
+        acc = F(0)
+        for i in range(1, min(k - 1, d) + 1):
+            acc += (-1) ** (i - 1) * e[i] * sums[k - i - 1]
+        if k <= d:
+            acc += (-1) ** (k - 1) * k * e[k]
+        sums.append(acc)
+    return sums
+
+
 class TestNewtonPowerSums:
     def test_single_root(self):
         assert newton_power_sums(RatPoly([4, -3]), 2) == [F(4, 3), F(16, 9)]
@@ -228,6 +259,16 @@ class TestNewtonPowerSums:
     def test_planted_roots_match_direct_summation(self, roots, lead):
         sums = newton_power_sums(poly_from_roots(roots) * lead, 4)
         assert sums == [sum(r ** m for r in roots) for m in (1, 2, 3, 4)]
+
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=7),
+        small_fractions.filter(lambda c: c != 0),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_matches_the_fraction_recurrence(self, low, lead, m_max):
+        # non-monic Fraction coefficients, m_max on both sides of the degree
+        a = RatPoly(low + [lead])
+        assert newton_power_sums(a, m_max) == newton_by_fractions(a, m_max)
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
