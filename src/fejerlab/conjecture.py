@@ -93,22 +93,17 @@ def conjecture_power_formula(
     )
 
 
-def _convergents(value: Fraction):
-    """Continued-fraction convergents of value, in order."""
-    h_prev, k_prev = 1, 0
-    h_cur, k_cur = None, None
-    rest = value
+def _convergents(num: int, den: int):
+    """Continued-fraction convergents (h, k) of num/den (den > 0), in order,
+    in lowest terms with k > 0."""
+    h_prev, k_prev, h, k = 0, 1, 1, 0
     while True:
-        a = rest.numerator // rest.denominator  # floor
-        if h_cur is None:
-            h_cur, k_cur = a, 1
-        else:
-            h_cur, k_cur, h_prev, k_prev = a * h_cur + h_prev, a * k_cur + k_prev, h_cur, k_cur
-        yield Fraction(h_cur, k_cur)
-        rest = rest - a
-        if rest == 0:
+        a, rem = divmod(num, den)  # floor, remainder in [0, den)
+        h, k, h_prev, k_prev = a * h + h_prev, a * k + k_prev, h, k
+        yield h, k
+        if rem == 0:
             return
-        rest = 1 / rest
+        num, den = den, rem
 
 
 def rational_reconstruct(
@@ -127,14 +122,14 @@ def rational_reconstruct(
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     prec = x.precision_bits
-    exact = x.to_fraction()
-    window = Fraction(1, 2 ** (prec // 2))
+    num, den = x.to_fraction().as_integer_ratio()
     candidate = None
-    for conv in _convergents(exact):
-        if conv.denominator > max_denominator:
+    for h, k in _convergents(num, den):
+        if k > max_denominator:
             break
-        if abs(exact - conv) < window:
-            candidate = conv
+        # |x - h/k| < 2^(-prec//2), in integers
+        if abs(num * k - h * den) << (prec // 2) < den * k:
+            candidate = Fraction(h, k)
             break
     if candidate is None:
         return Recognition(input=x, candidate=None, confirmed_at_bits=None)

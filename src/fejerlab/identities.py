@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, chebyshev_T, newton_power_sums
+from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, _integer_power_sums, chebyshev_T
+from .ratpoly import newton_power_sums  # noqa: F401  (bench/tracing.py times it under this name)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,9 @@ def inverse_power_sum(n: int, m: int) -> Fraction:
     if m < 1:
         raise ValueError("m must be >= 1")
     k = min(m, (n - 1) // 2)
-    low = RatPoly(_chebyshev_walk(n, 2 * k + 1))
-    return newton_power_sums(low.reciprocal(), m)[m - 1]
+    # the reversal of c_1 + c_3 y + ... + c_(2k+1) y^k has degree k and its
+    # coefficients from the top are the walk's c_1, c_3, ..., c_(2k+1)
+    return _integer_power_sums(_chebyshev_walk(n, 2 * k + 1), m)[m - 1]
 
 
 def verify_cosecant_sum(n: int) -> IdentityReport:

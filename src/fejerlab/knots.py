@@ -2,20 +2,25 @@
 and Gauss-Jacobi points at arbitrary precision.
 
 Jacobi knots are the roots of the Jacobi polynomial P_n^(alpha,beta), found
-by one solve at degree n, O(n^2) operations per knot set.  Float64 Newton on
-the three-term recurrence, with Maehly deflation against the roots already
-found (Stoer & Bulirsch, Introduction to Numerical Analysis, ch. 5), seeds
-every root; Newton in Python-int fixed point at the precision plus
-_ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed, about
-four evaluations per root at 256 bits (low-precision seeds as in Johansson &
-Mezzarobba, arXiv:1802.03948).  Under parity, alpha = beta, only the positive
-half is solved and then mirrored.  Robustness comes from a certificate, not
-from the path to the roots: the signs of P_n at -1, at the midpoints of
-consecutive roots and at 1 must alternate, which proves exactly one root in
-each cell.  A set that fails it raises ConvergenceFailure; a wrong knot is
-never returned.  No external root finder is involved.  A finished set is a
-pure function of (n, alpha, beta, precision), so one functools.lru_cache
-bounded at _KNOT_SET_CAP sets shares it between calls and threads.
+by one solve at degree n, O(n^2) operations per knot set.  Each root starts
+from the interior asymptotic formula of Gatteschi and Pittaluga (as in Hale &
+Townsend, SIAM J. Sci. Comput. 35(2), 2013), which float64 Newton on the
+three-term recurrence, with Maehly deflation against the roots already found
+(Stoer & Bulirsch, Introduction to Numerical Analysis, ch. 5), turns into a
+seed in about two steps.  Halley in Python-int fixed point at the precision
+plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed,
+3 evaluations per root at 256 bits and about 4 at 512 (low-precision seeds
+as in Johansson & Mezzarobba, arXiv:1802.03948).  An evaluation runs the
+recurrence for P_n only: P_n' follows from P_n and P_(n-1) by a classical
+identity, and P_n'' from the Jacobi differential equation.  Under parity,
+alpha = beta, only the positive half is solved and then mirrored.
+Robustness comes from a certificate, not from the path to the roots: the
+signs of P_n at -1, at the midpoints of consecutive roots and at 1 must
+alternate, which proves exactly one root in each cell.  A set that fails it
+raises ConvergenceFailure; a wrong knot is never returned.  No external root
+finder is involved.  A finished set is a pure function of (n, alpha, beta,
+precision), so one functools.lru_cache bounded at _KNOT_SET_CAP sets shares
+it between calls and threads.
 """
 from __future__ import annotations
 
@@ -45,12 +50,13 @@ from .apnum import _RND, ApFloat, _check_precision, pow2
 #: Extra bits carried while polishing roots, beyond the requested precision.
 _ROOT_GUARD_BITS = 32
 
-#: Newton steps allowed per root before giving up.
+#: Newton (float seed) or Halley (fixed point) steps allowed per root.
 _NEWTON_CAP = 200
 
 
 class ConvergenceFailure(RuntimeError):
-    """A Newton run exceeded its iteration cap (indicates a precision bug)."""
+    """A root iteration exceeded its step cap, or a Jacobi knot set failed its
+    sign-alternation certificate (either indicates a precision bug)."""
 
 
 class KnotSpacingError(ValueError):
@@ -194,34 +200,65 @@ def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[Ap
     return ApFloat(value, wp), ApFloat(deriv, wp)
 
 
+def _jacobi_params(steps) -> tuple[int, int, int]:
+    """(A, B, D) with alpha = A/D and beta = B/D, read back exactly from the
+    first step, den P_1 = a x + b, where a/den = (alpha+beta+2)/2 and
+    b/den = (alpha-beta)/2."""
+    a, b, _, den = steps[0]
+    return a + b - den, a - b - den, den
+
+
+def _float_value_derivative(steps, alpha: float, beta: float, x: float) -> tuple[float, float]:
+    """(P_n, P_n') at x in float64, both up to one positive factor: the value
+    recurrence on the float steps (a, b, c), rescaled past 1e100 since only
+    ratios are read, then P_n' from P_n and P_(n-1) by the identity of
+    `_fixed_value_derivative`."""
+    p_prev, p = 0.0, 1.0
+    for a, b, c in steps:
+        p_prev, p = p, (a * x + b) * p - c * p_prev
+        if abs(p) > 1e100:
+            p_prev, p = p_prev * 1e-100, p * 1e-100
+    n = len(steps)
+    t = 2 * n + alpha + beta
+    return p, (n * (alpha - beta - t * x) * p + 2 * (n + alpha) * (n + beta) * p_prev) / (t * (1.0 - x * x))
+
+
 def _seed_roots(steps, symmetric: bool) -> list[float]:
     """The roots of P_n to about float64 accuracy, ascending; only the
     positive ones when P_n has parity (symmetric).
 
-    Newton on the three-term recurrence from cos((2(n-j)-1) pi / 2n), with
-    Maehly deflation against the roots already known (their mirror images
-    and 0 too, under parity), so no two seeds settle on one root.  P and P'
-    are rescaled together past 1e100, since only their ratio is read.  An
-    iterate that leaves (-1, 1), or (0, 1) under parity, is replaced by the
-    midpoint of the previous one and the edge it crossed.  A seed is done
-    when its step falls below 2^-26: the error left after that step is at
-    float rounding level.
+    Root k, counted from the top, starts at the interior asymptotic formula
+    of Gatteschi and Pittaluga (Hale & Townsend, SIAM J. Sci. Comput. 35(2),
+    2013, section 3): with rho = n + (alpha+beta+1)/2 and
+    phi = (k + alpha/2 - 1/4) pi / rho,
+
+        x = cos(phi + ((1/4 - alpha^2) cot(phi/2) - (1/4 - beta^2) tan(phi/2)) / (4 rho^2)),
+
+    or at cos((2k-1) pi / 2n) where that start is not inside (-1, 1), or
+    (0, 1) under parity.  Newton polishes it, with Maehly deflation against
+    the roots already known (their mirror images and 0 too, under parity),
+    so no two seeds settle on one root.  An iterate that leaves (-1, 1), or
+    (0, 1) under parity, is replaced by the midpoint of the previous one and
+    the edge it crossed.  A seed is done when its step falls below 2^-26: the
+    error left after that step is at float rounding level.
     """
     n = len(steps)
+    A, B, D = _jacobi_params(steps)
+    alpha, beta = A / D, B / D
+    rho = n + (alpha + beta + 1) / 2
     steps = [(a / den, b / den, c / den) for a, b, c, den in steps]
     roots: list[float] = []
     known = [0.0] if symmetric and n % 2 else []
     low = 0.0 if symmetric else -1.0
-    for j in range((n + 1) // 2 if symmetric else 0, n):
-        x = math.cos((2 * (n - j) - 1) * math.pi / (2 * n))
+    for k in range(n // 2 if symmetric else n, 0, -1):
+        phi = (k + alpha / 2 - 0.25) * math.pi / rho
+        tan_half = math.tan(phi / 2)
+        x = math.cos(phi + ((0.25 - alpha**2) / tan_half - (0.25 - beta**2) * tan_half) / (4 * rho**2))
+        if not low < x < 1.0:
+            x = math.cos((2 * k - 1) * math.pi / (2 * n))
         for _ in range(_NEWTON_CAP):
-            p_prev, d_prev, p, d = 0.0, 0.0, 1.0, 0.0
-            for a, b, c in steps:
-                axb = a * x + b
-                p_prev, d_prev, p, d = p, d, axb * p - c * p_prev, a * p + axb * d - c * d_prev
-                if abs(p) > 1e100:
-                    p_prev, d_prev, p, d = p_prev * 1e-100, d_prev * 1e-100, p * 1e-100, d * 1e-100
             try:
+                p, d = _float_value_derivative(steps, alpha, beta, x)
                 step = p / (d - p * sum(1.0 / (x - r) for r in known))
             except ZeroDivisionError:
                 raise ConvergenceFailure("Newton seed hit a root already found") from None
@@ -241,17 +278,38 @@ def _seed_roots(steps, symmetric: bool) -> list[float]:
 
 
 def _fixed_value_derivative(steps, X: int, wp: int) -> tuple[int, int]:
-    """(P_n, P_n') at x = X 2^-wp, both scaled by 2^wp, in fixed point."""
-    p_prev, d_prev, p, d = 0, 0, 1 << wp, 0
+    """(P_n, P_n') at x = X 2^-wp, both scaled by 2^wp, in fixed point.
+
+    Only the value recurrence runs, keeping P_(n-1); P_n' then follows from
+    (Szego, Orthogonal Polynomials, (4.5.7); DLMF section 18.9)
+
+        (2n+alpha+beta)(1-x^2) P_n' = n((alpha-beta) - (2n+alpha+beta) x) P_n
+                                      + 2(n+alpha)(n+beta) P_(n-1),
+
+    times D^2, so that with alpha = A/D and beta = B/D every coefficient is
+    an integer, and with 1 - x^2 exact as 2^(2 wp) - X^2.
+    """
+    p_prev, p = 0, 1 << wp
     for a, b, c, den in steps:
-        axb = a * X + (b << wp)
-        p_prev, d_prev, p, d = (
-            p,
-            d,
-            ((axb * p >> wp) - c * p_prev) // den,
-            ((axb * d >> wp) + a * p - c * d_prev) // den,
-        )
-    return p, d
+        p_prev, p = p, (((a * X + (b << wp)) * p >> wp) - c * p_prev) // den
+    A, B, D = _jacobi_params(steps)
+    nD = len(steps) * D
+    t = 2 * nD + A + B
+    num = (nD * (((A - B) << wp) - t * X) * p >> wp) + 2 * (nD + A) * (nD + B) * p_prev
+    return p, (num << 2 * wp) // (D * t * ((1 << 2 * wp) - X * X))
+
+
+def _fixed_second_derivative(steps, X: int, p: int, d: int, wp: int) -> int:
+    """P_n'' at x = X 2^-wp, scaled by 2^wp, from P_n = p 2^-wp and
+    P_n' = d 2^-wp by the Jacobi differential equation
+
+        (1-x^2) P_n'' = ((alpha-beta) + (alpha+beta+2) x) P_n' - n(n+alpha+beta+1) P_n,
+
+    times D, with 1 - x^2 exact as in `_fixed_value_derivative`."""
+    A, B, D = _jacobi_params(steps)
+    n = len(steps)
+    num = ((((A - B) << wp) + (A + B + 2 * D) * X) * d >> wp) - n * (n * D + A + B + D) * p
+    return (num << 2 * wp) // (D * ((1 << 2 * wp) - X * X))
 
 
 def _fixed_sign(steps, X: int, wp: int) -> int:
@@ -269,19 +327,27 @@ def _fixed_sign(steps, X: int, wp: int) -> int:
 
 
 def _refine(steps, seed: float, wp: int, threshold: int) -> int:
-    """Newton in fixed point from a float seed until the step drops below
-    threshold (in units of 2^-wp); returns the root times 2^wp."""
+    """Halley in fixed point from a float seed until the step drops below
+    threshold (in units of 2^-wp); returns the root times 2^wp.
+
+    The step is 2 P_n P_n' / (2 P_n'^2 - P_n P_n''): one recurrence gives
+    P_n and P_n', and P_n'' costs a few big-int operations more.  The error
+    falls cubically, so a float seed takes 3 evaluations at 256 bits and
+    about 4 at 512, where Newton takes 4 and 5.
+    """
     num, den = seed.as_integer_ratio()
     X = (num << wp) // den
     for _ in range(_NEWTON_CAP):
-        p, d = _fixed_value_derivative(steps, X, wp)
-        if d == 0:
-            raise ConvergenceFailure("P_n' vanished at a Newton iterate")
-        step = (p << wp) // d
+        try:
+            p, d = _fixed_value_derivative(steps, X, wp)
+            dd = _fixed_second_derivative(steps, X, p, d, wp)
+            step = (p * d << (wp + 1)) // (2 * d * d - p * dd)
+        except ZeroDivisionError:
+            raise ConvergenceFailure("a Halley step divided by zero") from None
         X -= step
         if abs(step) < threshold:
             return X
-    raise ConvergenceFailure("Newton iteration exceeded its step cap")
+    raise ConvergenceFailure("Halley iteration exceeded its step cap")
 
 
 def _certify(steps, roots: list[int], wp: int) -> None:
@@ -339,7 +405,7 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
 
 
 def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The n roots of P_n^(alpha,beta), refined until Newton updates drop
+    """The n roots of P_n^(alpha,beta), refined until Halley steps drop
     below 2^(16 - precision_bits) and certified by sign alternation."""
     _check_precision(precision_bits)
     alpha, beta = _check_jacobi_params(alpha, beta)

@@ -223,7 +223,7 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
         P_k = -sum_{i=1}^{min(k-1,d)} b_i lead^(i-1) P_{k-i}
               - (k <= d) k b_k lead^(k-1),
 
-    and one Fraction is built per output at the end.
+    and one Fraction is built per output at the end (`_integer_power_sums`).
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -232,7 +232,15 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
         raise ValueError("need a nonzero polynomial of degree >= 1")
     top = a.coeffs[d - min(m_max, d) :][::-1]
     scale = math.lcm(*(c.denominator for c in top))
-    b = [c.numerator * (scale // c.denominator) for c in top]
+    return _integer_power_sums([c.numerator * (scale // c.denominator) for c in top], m_max)
+
+
+def _integer_power_sums(b: list[int], m_max: int) -> list[Fraction]:
+    """p_1..p_{m_max} of the roots of a polynomial of degree d from its top
+    min(m_max, d) + 1 coefficients b_0, b_1, ..., integers with b_0 != 0
+    (see `newton_power_sums`).  Since those are all that p_1..p_{m_max}
+    read, len(b) - 1 stands in for d."""
+    d = len(b) - 1
     lead = b[0]
     # q_i = b_i lead^(i-1), the weight of P_{k-i} in P_k
     q = [0] + [b[i] * lead ** (i - 1) for i in range(1, len(b))]

@@ -5,11 +5,14 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fejerlab.conjecture as conj_mod
 from fejerlab.apnum import ApFloat, pi, to_apfloat
 from fejerlab.conjecture import (
     InsufficientTrainingPoints,
+    _convergents,
     conjecture_power_formula,
     explore_knot_family,
     rational_reconstruct,
@@ -118,6 +121,67 @@ class TestRationalReconstruct:
             x, 10 ** 6, recompute=lambda bits: to_apfloat(F(22, 7) + F(1, 2 ** 64), bits)
         )
         assert bad.candidate is None
+
+
+def _fraction_convergents(value):
+    """The Fraction route the integer convergents replaced, kept as their oracle."""
+    h_prev, k_prev = 1, 0
+    h_cur, k_cur = None, None
+    rest = value
+    while True:
+        a = rest.numerator // rest.denominator  # floor
+        if h_cur is None:
+            h_cur, k_cur = a, 1
+        else:
+            h_cur, k_cur, h_prev, k_prev = a * h_cur + h_prev, a * k_cur + k_prev, h_cur, k_cur
+        yield F(h_cur, k_cur)
+        rest = rest - a
+        if rest == 0:
+            return
+        rest = 1 / rest
+
+
+def _fraction_candidate(x, max_denominator):
+    """The first convergent within 2^(-precision/2) of x, by Fraction arithmetic."""
+    exact = x.to_fraction()
+    for conv in _fraction_convergents(exact):
+        if conv.denominator > max_denominator:
+            return None
+        if abs(exact - conv) < F(1, 2 ** (x.precision_bits // 2)):
+            return conv
+    return None
+
+
+BITS_DRAWN = st.sampled_from([64, 128, 256])
+# random dyadics, and roundings of small rationals (which the window accepts)
+DYADICS = st.one_of(
+    st.builds(
+        lambda m, e, bits: to_apfloat(F(m) * F(2) ** e, bits),
+        st.integers(-(2 ** 300), 2 ** 300),
+        st.integers(-400, 40),
+        BITS_DRAWN,
+    ),
+    st.builds(
+        lambda h, k, bits: to_apfloat(F(h, k), bits),
+        st.integers(-(10 ** 7), 10 ** 7),
+        st.integers(1, 10 ** 7),
+        BITS_DRAWN,
+    ),
+)
+
+
+class TestIntegerConvergents:
+    @given(DYADICS)
+    def test_match_the_fraction_convergents(self, x):
+        num, den = x.to_fraction().as_integer_ratio()
+        expected = [(c.numerator, c.denominator) for c in _fraction_convergents(F(num, den))]
+        assert list(_convergents(num, den)) == expected
+
+    @given(DYADICS, st.sampled_from([1, 7, 10 ** 3, 10 ** 6]))
+    def test_candidates_match_the_fraction_window(self, x, max_denominator):
+        expected = _fraction_candidate(x, max_denominator)
+        rec = rational_reconstruct(x, max_denominator, exact(expected or F(0)))
+        assert rec.candidate == expected
 
 
 class TestExploreKnotFamily:

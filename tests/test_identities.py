@@ -181,6 +181,22 @@ def test_exact_layer_multiplies_no_polynomials(monkeypatch):
     assert calls == []
 
 
+def test_power_sum_builds_no_polynomial(monkeypatch):
+    # the walk's integers go straight to the integer Newton identities
+    built = []
+    original = RatPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatPoly, "__init__", counting_init)
+    for n, m in ((3, 1), (3, 8), (101, 1), (101, 4), (1001, 2)):
+        assert inverse_power_sum(n, m) > 0
+    assert verify_cosecant_sum(101).holds
+    assert built == []
+
+
 def test_exact_layer_reads_no_full_chebyshev_polynomial(monkeypatch):
     # the checks read c_1..c_(2m+1) only, so they stay cheap at large n
     def refuse(n):

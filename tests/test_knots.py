@@ -8,6 +8,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, _man_exp, pow2, sqrt, to_apfloat
@@ -302,6 +303,101 @@ class TestGaussJacobi:
         assert solved == []
         gauss_jacobi_knots(1, F(0), F(1, 2), 64)
         assert solved == [1]
+
+
+def _exact_jacobi_derivatives(alpha, beta, n, x):
+    """(P_n, P_n', P_n'') at a rational x, exactly: the textbook recurrence
+    differentiated twice."""
+    v_prev, d_prev, s_prev, v, d, s = F(0), F(0), F(0), F(1), F(0), F(0)
+    for j in range(1, n + 1):
+        a, b, c = _textbook_step(alpha, beta, j)
+        axb = a * x + b
+        v_prev, d_prev, s_prev, v, d, s = (
+            v, d, s, axb * v - c * v_prev, a * v + axb * d - c * d_prev, 2 * a * d + axb * s - c * s_prev
+        )
+    return v, d, s
+
+
+IDENTITY_PAIRS = [(F(0), F(0)), (F(-1, 2), F(-1, 2)), (F(1, 3), F(1, 5)), (F(-99, 100), F(7)),
+                  (F(50), F(-99, 100)), (F(217, 73), F(-10, 19))]
+NEAR_EDGES = [F(-1) + F(1, 2 ** 20), F(-999, 1000), F(-1, 2), F(0), F(1, 3), F(999, 1000),
+              F(1) - F(1, 2 ** 20)]
+
+
+class TestHalleyRefinement:
+    WP = 256
+
+    def _fixed_point(self, x):
+        return (x.numerator << self.WP) // x.denominator
+
+    @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
+    def test_derivative_identity_matches_jacobi_eval(self, alpha, beta):
+        # P_n' from P_n and P_(n-1) against the libmp recurrence for (P, P')
+        wp = self.WP
+        for n in range(1, 41):
+            steps = knots_mod._integer_steps(alpha, beta, n)
+            for x in NEAR_EDGES:
+                X = self._fixed_point(x)
+                p, d = knots_mod._fixed_value_derivative(steps, X, wp)
+                value, deriv = jacobi_eval(n, alpha, beta, ApFloat(from_man_exp(X, -wp), wp))
+                for fixed, libmp in ((p, value), (d, deriv)):
+                    ref = libmp.to_fraction() * 2 ** wp
+                    # within 2^32 ulps of max(1, |value|): 1 - x^2 near 2^-19 costs 19 bits
+                    assert abs(fixed - ref) * 2 ** wp <= 2 ** 32 * max(2 ** wp, abs(ref)), (n, x)
+
+    @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
+    def test_second_derivative_from_the_differential_equation(self, alpha, beta):
+        wp = self.WP
+        for n in (1, 2, 3, 7, 20, 40):
+            steps = knots_mod._integer_steps(alpha, beta, n)
+            for x in NEAR_EDGES:
+                X = self._fixed_point(x)
+                xq = F(X, 2 ** wp)
+                v, d, s = _exact_jacobi_derivatives(alpha, beta, n, xq)
+                # the oracle obeys the Jacobi equation exactly
+                slope = beta - alpha - (alpha + beta + 2) * xq
+                assert (1 - xq * xq) * s + slope * d + n * (n + alpha + beta + 1) * v == 0
+                p_fixed, d_fixed = knots_mod._fixed_value_derivative(steps, X, wp)
+                second = knots_mod._fixed_second_derivative(steps, X, p_fixed, d_fixed, wp)
+                ref = s * 2 ** wp
+                # 1 - x^2 near 2^-19 divides twice on the way to P_n''
+                assert abs(second - ref) * 2 ** wp <= 2 ** 48 * max(2 ** wp, abs(ref)), (n, x)
+
+    @pytest.mark.parametrize("bits, per_root", [(256, 3), (512, 4)])
+    def test_cold_set_evaluations(self, monkeypatch, bits, per_root):
+        # Halley from the asymptotic seeds; Newton took about 4 and 5 per root
+        knots_mod._jacobi_knot_set.cache_clear()
+        calls = []
+        original = knots_mod._fixed_value_derivative
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(knots_mod, "_fixed_value_derivative", counting)
+        n = 24
+        gauss_jacobi_knots(n, F(1, 3), F(1, 5), bits)
+        assert n <= len(calls) <= per_root * n
+
+    def test_seed_iterations_per_root(self, monkeypatch):
+        # (alpha, beta) drawn from (-1, 3]; the cosine starts took about 6
+        rng = random.Random(20261019)
+        calls = []
+        original = knots_mod._float_value_derivative
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(knots_mod, "_float_value_derivative", counting)
+        roots = 0
+        for n in (8, 16, 24):
+            for _ in range(20):
+                dens = rng.randint(7, 97), rng.randint(7, 97)
+                alpha, beta = (F(rng.randint(1 - q, 3 * q), q) for q in dens)
+                knots_mod._seed_roots(knots_mod._integer_steps(alpha, beta, n), alpha == beta)
+                roots += n
+        assert len(calls) <= 3 * roots
 
 
 def _random_pairs(count, seed=20261018):
