@@ -13,7 +13,8 @@ plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed,
 as in Johansson & Mezzarobba, arXiv:1802.03948).  An evaluation runs the
 recurrence for P_n only: P_n' follows from P_n and P_(n-1) by a classical
 identity, and P_n'' from the Jacobi differential equation.  Under parity,
-alpha = beta, only the positive half is solved and then mirrored.
+alpha = beta, only the positive half is solved and then mirrored, so an odd
+set carries the exact root 0 in the middle.
 Robustness comes from a certificate, not from the path to the roots: the
 signs of P_n at -1, at the midpoints of consecutive roots and at 1 must
 alternate, which proves exactly one root in each cell.  A set that fails it
@@ -45,7 +46,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from .apnum import _RND, ApFloat, _check_precision, pow2
+from .apnum import _RND, ApFloat, _check_precision, _common_scale
 
 #: Extra bits carried while polishing roots, beyond the requested precision.
 _ROOT_GUARD_BITS = 32
@@ -68,7 +69,8 @@ class KnotSet:
     """A strictly increasing, validated set of interpolation knots.
 
     Knots closer than 2^(16 - precision_bits) are rejected outright, since the
-    fundamental-polynomial construction divides by knot differences.
+    fundamental-polynomial construction divides by knot differences.  The gaps
+    are compared exactly, on the knots as integers over one power of two.
     """
 
     family: str
@@ -81,9 +83,10 @@ class KnotSet:
     def __post_init__(self):
         if self.n != len(self.points) or self.n < 1:
             raise ValueError("n must equal the number of points and be >= 1")
-        gap_floor = pow2(16 - self.precision_bits, self.precision_bits)
-        for lo, hi in zip(self.points, self.points[1:]):
-            if not hi - lo > gap_floor:
+        shift = _check_precision(self.precision_bits) - 16
+        xs, L = _common_scale([p.raw for p in self.points])
+        for lo, hi in zip(xs, xs[1:]):
+            if not (hi - lo) << shift > 1 << L:
                 raise KnotSpacingError(
                     f"knot gap at most 2^{16 - self.precision_bits} in family {self.family}"
                 )
@@ -372,6 +375,10 @@ _KNOT_SET_CAP = 64
 def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
     """The certified, rounded roots of P_n^(alpha,beta) (arguments validated).
 
+    The certificate runs on the solver's integers, which are then rounded
+    straight to the knot precision; an odd set with alpha = beta keeps its
+    exact middle root 0.
+
     A pure function of its arguments returning an immutable value, so threads
     share the cache; a race on a cold set only repeats deterministic work.
     """
@@ -384,16 +391,7 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
         # P_n has the parity of n: mirror the positive half, around 0 for odd n.
         roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots
     _certify(steps, roots, wp)
-    raws = [from_man_exp(r, -wp, precision_bits, _RND) for r in roots]
-    if symmetric and n % 2:
-        # The middle root is 0, but its knot stays the value this module has
-        # always printed, so stdout stays byte-identical: one libmp Newton
-        # step from cos(pi/2) at wp, which leaves a residue far below 2^-wp
-        # (4.04e-174 for Legendre n = 7 at 256 bits).
-        x = ApFloat(_cos_pi(n, 2 * n, wp), wp)
-        value, deriv = jacobi_eval(n, alpha, beta, x)
-        raws[n // 2] = mpf_pos((x - value / deriv).raw, precision_bits, _RND)
-    points = tuple(ApFloat(r, precision_bits) for r in raws)
+    points = tuple(ApFloat(from_man_exp(r, -wp, precision_bits, _RND), precision_bits) for r in roots)
     return KnotSet(
         family="gauss_jacobi",
         n=n,

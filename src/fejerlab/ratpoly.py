@@ -269,11 +269,10 @@ def rational_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    # Newton form by nested multiplication, from the top coefficient down.
     poly = RatPoly()
-    basis = RatPoly([1])
-    for k, c in enumerate(dd):
-        poly = poly + basis * c
-        basis = basis * RatPoly([-xs[k], 1])
+    for x, c in zip(reversed(xs), reversed(dd)):
+        poly = poly * RatPoly([-x, 1]) + RatPoly([c])
     return poly
 
 

@@ -346,6 +346,9 @@ GOLDEN = Path(__file__).parent / "golden"
          "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"
          " --y0 0 --y0 3/10"),
         ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
+        ("conjecture_gauss_jacobi_gegenbauer_512",
+         "conjecture --family gauss_jacobi --alpha 1/2 --beta 1/2 --p 2 --y0 0"
+         " --n-list 3,5,7,9,11 --precision-bits 512"),
         ("verify_identity_n201", "verify-identity --n-max 201"),
         ("power_sum_m3_n61", "power-sum --m 3 --n-max 61"),
         ("power_sum_m8_n3", "power-sum --m 8 --n 3"),

@@ -209,6 +209,18 @@ class TestGaussJacobi:
         for a, b in zip(k.points, reversed(k.points)):
             assert abs(a + b) <= tol
 
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    @pytest.mark.parametrize("alpha", [F(0), F(-1, 2), F(-99, 100), F(1, 2), F(2), F(50)])
+    def test_odd_symmetric_set_has_exact_zero_middle(self, alpha, bits):
+        # P_n has the parity of n, so the middle root of an odd set is 0
+        # exactly, and the halves mirror each other bit for bit
+        for n in range(1, 42, 2):
+            points = gauss_jacobi_knots(n, alpha, alpha, bits).points
+            assert points[n // 2].is_zero()
+            for lo, hi in zip(points, reversed(points)):
+                m, e = _man_exp(lo.raw)
+                assert _man_exp(hi.raw) == (-m, e)
+
     def test_roots_inside_interval(self):
         k = gauss_jacobi_knots(9, F(3), F(-1, 2), BITS)
         one = ApFloat(1, BITS)
@@ -434,7 +446,8 @@ def _knot_digest(cases):
 
 class TestPinnedBits:
     # sha256 over the exact (mantissa, exponent) of every rounded knot, written
-    # from the interlacing-ladder solver that preceded the degree-n solve
+    # from the interlacing-ladder solver that preceded the degree-n solve; in
+    # the extreme pairs, the middle knot of an odd alpha = beta set is (0, 0)
     def test_random_pairs_small_n(self):
         cases = [
             (a, b, n, bits)
@@ -454,7 +467,7 @@ class TestPinnedBits:
             for n in (1, 2, 3, 5, 20, 40)
         ]
         assert _knot_digest(cases) == (
-            "542f12387ad2c1044e53d1ae6820de2b70c112b682bedbc8a877e805bd58df82"
+            "39f3adf0b997a8e4bffd0a67d21b894271306cfe50121811487e23bb44956099"
         )
 
 
@@ -474,6 +487,34 @@ class TestKnotSetGuards:
         ):
             gaps = [b - a for a, b in zip(k.points, k.points[1:])]
             assert all(g > floor for g in gaps)
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # (lower knot, least representable widening of the gap), from the
+            # floor 2^(16 - bits); the last three touch or straddle 0
+            lambda floor, bits: (F(1, 2), F(2) ** -bits),
+            lambda floor, bits: (F(-3, 4), F(2) ** -bits),
+            lambda floor, bits: (F(-1, 2), F(2) ** (-1 - bits)),
+            lambda floor, bits: (F(0), floor / 2 ** (bits - 1)),
+            lambda floor, bits: (-floor / 2, floor / 2 ** (bits - 1)),
+            lambda floor, bits: (-floor, floor / 2 ** (bits - 1)),
+        ],
+        ids=["half", "minus_three_quarters", "minus_half", "from_zero", "straddle_zero", "to_zero"],
+    )
+    def test_gap_floor_boundary(self, case, bits):
+        # a gap of exactly 2^(16 - bits) is refused, one ulp wider is accepted
+        floor = F(2) ** (16 - bits)
+        lo, ulp = case(floor, bits)
+        for gap, accepted in ((floor, False), (floor + ulp, True)):
+            pts = (to_apfloat(lo, bits), to_apfloat(lo + gap, bits))
+            assert [p.to_fraction() for p in pts] == [lo, lo + gap]
+            if accepted:
+                KnotSet(family="equispaced", n=2, points=pts, precision_bits=bits)
+            else:
+                with pytest.raises(KnotSpacingError):
+                    KnotSet(family="equispaced", n=2, points=pts, precision_bits=bits)
 
     def test_descending_points_rejected(self):
         pts = (to_apfloat(F(1), BITS), to_apfloat(F(0), BITS))
