@@ -19,6 +19,7 @@ from .hermite import (
     LengthMismatch,
     chebyshev_closed_form,
     derivative_sum,
+    derivative_sums,
     hermite_fejer_basis,
     interpolate,
     lagrange_basis,
@@ -40,7 +41,6 @@ from .knots import (
     chebyshev2_knots,
     equispaced_knots,
     gauss_jacobi_knots,
-    jacobi_eval,
     make_knots,
 )
 from .ratpoly import (
@@ -82,6 +82,7 @@ __all__ = [
     "conjecture_power_formula",
     "cos",
     "derivative_sum",
+    "derivative_sums",
     "equispaced_knots",
     "explore_knot_family",
     "format_rational",
@@ -89,7 +90,6 @@ __all__ = [
     "hermite_fejer_basis",
     "interpolate",
     "inverse_power_sum",
-    "jacobi_eval",
     "lagrange_basis",
     "make_knots",
     "midpoint_second_derivative",

@@ -263,11 +263,6 @@ def to_apfloat(q: Fraction | int, precision_bits: int) -> ApFloat:
     return ApFloat(q if isinstance(q, (Fraction, int)) else Fraction(q), precision_bits)
 
 
-def pow2(k: int, precision_bits: int) -> ApFloat:
-    """The exact power 2^k as an ApFloat (used for tolerances)."""
-    return ApFloat(mpf_shift(from_int(1), k), precision_bits)
-
-
 def pi(precision_bits: int) -> ApFloat:
     """pi to the requested precision (relative error <= 2^(1-bits))."""
     _check_precision(precision_bits)

@@ -29,7 +29,8 @@ from fractions import Fraction
 
 from . import conjecture as conj
 from .apnum import MIN_PRECISION_BITS, ApFloat
-from .hermite import derivative_sum, hermite_fejer_basis, scaled_tolerance
+from .hermite import derivative_sums, hermite_fejer_basis, scaled_tolerance
+from .hermite import derivative_sum  # noqa: F401  (bench/tracing.py patches this name)
 from .identities import inverse_power_sum, verify_cosecant_sum
 from .knots import ConvergenceFailure, KnotSpacingError, make_knots
 from .ratpoly import format_rational
@@ -140,16 +141,10 @@ def _cmd_verify_eq1(args) -> int:
     all_pass = True
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
-        # Highest order first at each y0: the first call builds the jet that
-        # every lower order reads.  Records still go out p-major.
-        checks = {}
-        for k, y0 in enumerate(y0_points):
-            for p in range(args.p_max, 0, -1):
-                residual, terms = derivative_sum(basis, p, y0)
-                checks[p, k] = residual, scaled_tolerance(terms, args.precision_bits)
-        for p in range(1, args.p_max + 1):
-            for k, y0 in enumerate(y0_list):
-                residual, tolerance = checks[p, k]
+        sums = [derivative_sums(basis, range(1, args.p_max + 1), y0) for y0 in y0_points]
+        for p, row in enumerate(zip(*sums), 1):
+            for y0, (residual, terms) in zip(y0_list, row):
+                tolerance = scaled_tolerance(terms, args.precision_bits)
                 ok = abs(residual) <= tolerance
                 all_pass &= ok
                 obj = {

@@ -17,8 +17,9 @@ s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004): one Taylor jet of the h_i
 at y0, truncated at order p_max, holds every h_i^(p)(y0) for p <= p_max
 (Griewank & Walther, Evaluating Derivatives, ch. 13), with l_i(y0 + t) =
 w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
-so nothing divides by y0 - x_i.  A basis keeps its last jet, so a caller that
-asks for the highest order first at each y0 builds one jet per (n, y0).
+so nothing divides by y0 - x_i.  derivative_sums reads every requested order
+from one jet, so a caller that checks p = 1..p_max at one y0 builds one jet
+per (n, y0); nothing is stored between calls.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -45,7 +46,7 @@ derives the ulp floor of its 512-bit rerun from that budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -100,24 +101,20 @@ def _deflate(poly: NumPoly, root: ApFloat) -> NumPoly:
     return NumPoly(out, wp)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FundamentalBasis:
     """The n fundamental polynomials h_i bound to their knot set.
 
     weights and slopes hold w_i and s_i at the working precision; they are
     all that evaluation needs.  h, the dense coefficients, is built from the
-    construction's own formula on first access.  _last_jet is the last
-    Taylor jet derivative_sum built, as one (y0.raw, p_max, jet, None) or
-    (y0.raw, p_max, None, rows 1..p_max) tuple: it is replaced whole, never
-    mutated, so a concurrent reader sees either the old one or the new one,
-    and a basis holds at most one.
+    construction's own formula on first access.  Nothing else is stored, so
+    a basis can be shared between threads.
     """
 
     knots: KnotSet
     weights: tuple[ApFloat, ...]
     slopes: tuple[ApFloat, ...]
     construction: str
-    _last_jet: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -306,45 +303,41 @@ def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) 
     return ApFloat(mpf_pos(acc, basis.precision_bits, _RND), basis.precision_bits)
 
 
+def derivative_sums(
+    basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
+) -> list[tuple[ApFloat, list[ApFloat]]]:
+    """(residual, terms) for each p in orders, ascending integers >= 1, from
+    one Taylor jet at y0 truncated at max(orders).
+
+    terms_i is h_i^(p)(y0) rounded to the knot precision; residual is the
+    ordered sum of the unrounded terms.  The sum of the h_i is identically 1
+    for any knot set, so every p >= 1 drives the residual to pure rounding
+    noise.  p = 0 is rejected: there the sum is 1, not 0.  Each row has the
+    same bits whichever other orders share its jet.
+    """
+    orders = list(orders)
+    if not orders or orders[0] < 1 or orders != sorted(orders):
+        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
+    wp = basis.working_precision_bits
+    out_prec = basis.precision_bits
+    out = []
+    for row in _jet_values(basis, _jet(basis, orders[-1], y0), orders):
+        terms = []
+        acc = fzero
+        for val in row:
+            acc = mpf_add(acc, val, wp, _RND)
+            terms.append(ApFloat._wrap(mpf_pos(val, out_prec, _RND), out_prec))
+        out.append((ApFloat(mpf_pos(acc, out_prec, _RND), out_prec), terms))
+    return out
+
+
 def derivative_sum(
     basis: FundamentalBasis, p: int, y0: ApFloat
 ) -> tuple[ApFloat, list[ApFloat]]:
-    """All h_i^(p)(y0) and their sum, which vanishes identically for p >= 1.
-
-    terms_i is h_i^(p)(y0) from the Taylor jet at y0, rounded to the knot
-    precision; residual is the ordered sum of the unrounded terms.  The sum of
-    the h_i is identically 1 for any knot set, so every p >= 1 drives the
-    residual to pure rounding noise.  p = 0 is rejected: there the sum is 1,
-    not 0.
-
-    The basis keeps the last jet it built.  A call at the same y0 and an order
-    <= the jet's reads it instead of building a new one: the first such call
-    turns the jet into its rows for every order at once, and later calls read
-    their row.  A caller that asks for one order per y0 pays for no rows it
-    does not read.  The bits are the same on every route.
-    """
-    if p < 1:
-        raise ValueError("derivative order p must be >= 1")
-    slot = basis._last_jet
-    if slot is not None and slot[0] == y0.raw and slot[1] >= p:
-        _, p_max, jet, table = slot
-        if table is None:
-            table = _jet_values(basis, jet, range(1, p_max + 1))
-            basis._last_jet = (y0.raw, p_max, None, table)
-        row = table[p - 1]
-    else:
-        jet = _jet(basis, p, y0)
-        basis._last_jet = (y0.raw, p, jet, None)
-        (row,) = _jet_values(basis, jet, (p,))
-    wp = basis.working_precision_bits
-    out_prec = basis.precision_bits
-    terms = []
-    acc = fzero
-    for val in row:
-        acc = mpf_add(acc, val, wp, _RND)
-        terms.append(ApFloat._wrap(mpf_pos(val, out_prec, _RND), out_prec))
-    residual = ApFloat(mpf_pos(acc, out_prec, _RND), out_prec)
-    return residual, terms
+    """All h_i^(p)(y0) and their sum, which vanishes identically for p >= 1:
+    derivative_sums at the one order p."""
+    (result,) = derivative_sums(basis, (p,), y0)
+    return result
 
 
 def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:

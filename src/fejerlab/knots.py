@@ -31,19 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import (
-    fone,
     from_int,
     from_man_exp,
-    from_rational,
-    fzero,
-    mpf_add,
     mpf_cos,
     mpf_div,
-    mpf_mul,
     mpf_mul_int,
     mpf_pi,
     mpf_pos,
-    mpf_sub,
 )
 
 from .apnum import _RND, ApFloat, _check_precision, _common_scale
@@ -175,32 +169,6 @@ def _integer_steps(alpha: Fraction, beta: Fraction, n: int) -> tuple[tuple[int, 
         g = math.gcd(*step)
         steps.append(tuple(v // g for v in step))
     return tuple(steps)
-
-
-def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[ApFloat, ApFloat]:
-    """Value and derivative of the Jacobi polynomial P_n^(alpha,beta) at x."""
-    alpha, beta = _check_jacobi_params(alpha, beta)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    wp = x.precision_bits
-    # The recurrence pair for (P_k, P_k') from P_{-1} = 0 and P_0 = 1, each
-    # step coefficient correctly rounded to wp bits.
-    value_prev, deriv_prev, value, deriv = fzero, fzero, fone, fzero
-    for a, b, c, den in _integer_steps(alpha, beta, n):
-        a, b, c = (from_rational(v, den, wp, _RND) for v in (a, b, c))
-        axb = mpf_add(mpf_mul(a, x.raw, wp, _RND), b, wp, _RND)
-        value_prev, deriv_prev, value, deriv = (
-            value,
-            deriv,
-            mpf_sub(mpf_mul(axb, value, wp, _RND), mpf_mul(c, value_prev, wp, _RND), wp, _RND),
-            mpf_sub(
-                mpf_add(mpf_mul(a, value, wp, _RND), mpf_mul(axb, deriv, wp, _RND), wp, _RND),
-                mpf_mul(c, deriv_prev, wp, _RND),
-                wp,
-                _RND,
-            ),
-        )
-    return ApFloat(value, wp), ApFloat(deriv, wp)
 
 
 def _jacobi_params(steps) -> tuple[int, int, int]:

@@ -12,12 +12,12 @@ from fejerlab.apnum import (
     cos,
     max_abs,
     pi,
-    pow2,
     sin,
     sqrt,
     to_apfloat,
 )
 from fejerlab.ratpoly import RatPoly, chebyshev_T
+from reference import pow2
 
 
 def machin_pi(bits: int) -> F:

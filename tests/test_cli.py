@@ -81,14 +81,19 @@ class TestVerifyEq1:
         ]
 
     def test_one_jet_per_n_and_y0(self, capsys, monkeypatch):
-        builds = []
-        original = hermite_mod._jet
+        builds, rows = [], []
+        jet, jet_values = hermite_mod._jet, hermite_mod._jet_values
 
         def counting_jet(basis, p_max, y0):
             builds.append((basis.n, p_max))
-            return original(basis, p_max, y0)
+            return jet(basis, p_max, y0)
+
+        def counting_jet_values(basis, jet, orders):
+            rows.extend(orders)
+            return jet_values(basis, jet, orders)
 
         monkeypatch.setattr(hermite_mod, "_jet", counting_jet)
+        monkeypatch.setattr(hermite_mod, "_jet_values", counting_jet_values)
         code, out, _ = run(
             capsys,
             "verify-eq1", "--n-max", "5", "--p-max", "6", "--y0", "0", "--y0", "1/3",
@@ -96,6 +101,7 @@ class TestVerifyEq1:
         assert code == 0
         assert len(json_lines(out)) == 4 * 6 * 2
         assert builds == [(n, 6) for n in (2, 3, 4, 5) for _ in range(2)]
+        assert len(rows) == 48  # one row per record, none formed twice
 
     def test_gauss_jacobi_defaults_to_legendre(self, capsys):
         code, out, _ = run(
@@ -345,6 +351,9 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify_eq1_gauss_jacobi",
          "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"
          " --y0 0 --y0 3/10"),
+        ("verify_eq1_equispaced_512",
+         "verify-eq1 --family equispaced --n-max 5 --p-max 10 --y0 0 --y0 1/2 --y0=-5/4"
+         " --precision-bits 512"),
         ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
         ("conjecture_gauss_jacobi_gegenbauer_512",
          "conjecture --family gauss_jacobi --alpha 1/2 --beta 1/2 --p 2 --y0 0"

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from fejerlab.apnum import ApFloat, NumPoly, max_abs, pow2, to_apfloat
+from fejerlab.apnum import ApFloat, NumPoly, max_abs, to_apfloat
 from fejerlab.hermite import (
     LengthMismatch,
     chebyshev_closed_form,
     derivative_sum,
+    derivative_sums,
     hermite_fejer_basis,
     interpolate,
     lagrange_basis,
@@ -25,6 +26,7 @@ from fejerlab.knots import (
     make_knots,
 )
 from fejerlab.ratpoly import RatPoly
+from reference import pow2
 
 BITS = 256
 
@@ -246,6 +248,13 @@ class TestDerivativeSum:
         with pytest.raises(ValueError):
             derivative_sum(basis, 0, ApFloat(0, BITS))
 
+    @pytest.mark.parametrize("orders", [[], [0, 1], [2, 1]])
+    def test_orders_must_ascend_from_one(self, orders):
+        # out of order, a row could lie above the jet's truncation order
+        basis = hermite_fejer_basis(chebyshev1_knots(3, BITS))
+        with pytest.raises(ValueError):
+            derivative_sums(basis, orders, ApFloat(0, BITS))
+
     @pytest.mark.parametrize(
         "family,kwargs",
         [
@@ -272,7 +281,7 @@ class TestDerivativeSum:
             assert abs(terms[i] - terms[n - 1 - i]) <= tol
 
     def test_repeated_calls_are_deterministic(self):
-        # the second basis has no jet yet, so its call recomputes
+        # two fresh bases of the same knots give the same bits
         y0 = to_apfloat(F(1, 7), BITS)
         r1, t1 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
         r2, t2 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
@@ -290,19 +299,17 @@ class TestDerivativeSum:
     )
     def test_lower_orders_read_from_one_jet_are_bit_identical(self, family, kwargs, n):
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
-        p_max = 2 * n + 1
         for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
-            derivative_sum(basis, p_max, y0)
-            for p in range(p_max, 0, -1):
-                r, t = derivative_sum(basis, p, y0)
-                assert basis._last_jet[:2] == (y0.raw, p_max)
-                fr, ft = derivative_sum(replace(basis), p, y0)
+            rows = derivative_sums(basis, range(1, 2 * n + 2), y0)
+            assert len(rows) == 2 * n + 1
+            for p, (r, t) in enumerate(rows, 1):
+                fr, ft = derivative_sum(basis, p, y0)
                 assert r.raw == fr.raw, (p, y0)
                 assert [x.raw for x in t] == [x.raw for x in ft], (p, y0)
 
     def test_shared_basis_under_threads_matches_serial(self):
-        # mixed (p, y0) keep replacing the one jet a basis holds, and orders
-        # below a jet's read its rows; every read must see one whole jet
+        # threads share one basis across mixed (p, y0); every result must
+        # match the serial one on a copy of the basis
         basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
         points = [basis.knots.points[4], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)]
         jobs = [(p, k) for k in range(len(points)) for p in (19, 8, 5, 2, 1)]

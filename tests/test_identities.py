@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fejerlab import identities
-from fejerlab.apnum import ApFloat, NumPoly, pi, pow2, sin, to_apfloat
+from fejerlab.apnum import ApFloat, NumPoly, pi, sin, to_apfloat
 from fejerlab.hermite import derivative_sum, hermite_fejer_basis, scaled_tolerance
 from fejerlab.identities import (
     inverse_power_sum,
@@ -16,6 +16,7 @@ from fejerlab.identities import (
 )
 from fejerlab.knots import chebyshev1_knots
 from fejerlab.ratpoly import NotOdd, RatPoly, chebyshev_T, newton_power_sums
+from reference import pow2
 
 
 class TestSin2Charpoly:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fejerlab.apnum import ApFloat, NumPoly, cos, pi, pow2
+from fejerlab.apnum import ApFloat, NumPoly, cos, pi
 from fejerlab.ratpoly import (
     DuplicateAbscissa,
     NotOdd,
@@ -19,6 +19,7 @@ from fejerlab.ratpoly import (
     newton_power_sums,
     rational_interpolate,
 )
+from reference import pow2
 
 T3 = RatPoly([0, -3, 0, 4])
 
