@@ -36,6 +36,7 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_cos,
     mpf_div,
+    mpf_hash,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
@@ -218,7 +219,9 @@ class ApFloat:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash(self.to_fraction())
+        # Python's numeric hash of m 2^e, equal to hash(self.to_fraction())
+        # without building the Fraction (a gcd per call)
+        return mpf_hash(self.raw)
 
 
 # -- integer block kernel ----------------------------------------------------

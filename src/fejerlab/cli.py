@@ -228,6 +228,8 @@ def _conjecture_explore(args) -> int:
         raise UsageError("explore mode needs --p and --n-list")
     if args.y0 and len(args.y0) > 1:
         raise UsageError("explore mode takes at most one --y0")
+    if len(set(args.n_list)) != len(args.n_list):
+        raise UsageError("--n-list entries must be distinct")
     y0 = args.y0[0] if args.y0 else Fraction(0)
     findings = conj.explore_knot_family(
         args.family,

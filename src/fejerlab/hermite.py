@@ -19,7 +19,9 @@ at y0, truncated at order p_max, holds every h_i^(p)(y0) for p <= p_max
 w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
 so nothing divides by y0 - x_i.  derivative_sums reads every requested order
 from one jet, so a caller that checks p = 1..p_max at one y0 builds one jet
-per (n, y0); nothing is stored between calls.
+per (n, y0); nothing is stored between calls.  A basis is a pure function of
+its knot set and is cached, bounded like the Gauss-Jacobi knot sets, so a
+caller that repeats a knot set builds its basis once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -29,15 +31,20 @@ point, Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 3.1):
 each factor is applied exactly and the block is rounded once to the working
 precision plus _BLOCK_GUARD_BITS, from the bit length of its leading
 coefficients.  A coefficient of g_i is an exact integer dot product of
-prefix and suffix, rounded once with its block, and each term h_i^(p)(y0)
-is formed exactly from w_i, s_i, y0 - x_i and g_i and rounded once to the
-working precision.  Only w_i = 1/g_i(0) and s_i = g_i'(0)/g_i(0) are libmp
-divisions.  Error model: one rounding per product stage, at relative size
-2^-(wp + 32) of the block's leading coefficients, plus one per term.
+prefix and suffix, rounded once with its block.  w_i is folded into that
+block once per i, before squaring, in one more block rounding: the block is
+then l_i(y0 + t) = w_i g_i(t).  Each term h_i^(p)(y0) is formed exactly from
+s_i, y0 - x_i and that block and kept as an exact integer pair (V, e), with
+value V 2^e.  Only w_i = 1/g_i(0) and s_i = g_i'(0)/g_i(0) are libmp
+divisions.  Error model: one rounding per block stage, at relative size
+2^-(wp + 32) of the block's leading coefficients, and none per term.
 Measured against an exact rational oracle of the terms on the rounded knots
-(tests/exact_oracle.py), the terms are within a few ulps of the working
-precision at the data scale; one libmp rounding per operation gave up to
-about 285 on the same grid.
+(tests/exact_oracle.py), the exact terms are within a few ulps of the
+working precision at the data scale; one libmp rounding per operation gave
+up to about 285 on the same grid.  Each term is reported rounded once,
+straight to the knot precision.  A residual is the exact sum of its row's
+terms on one exponent, rounded once, so it is at most the sum of the terms'
+errors times 1 + 2^(1 - knot precision).
 
 The knot precision plus 64 + 4n guard bits is the working precision, and
 tolerances are stated against the knot precision; the acceptance suite
@@ -45,6 +52,7 @@ derives the ulp floor of its 512-bit rerun from that budget.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -58,12 +66,11 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_div,
     mpf_mul,
-    mpf_pos,
     mpf_shift,
 )
 
 from .apnum import _RND, ApFloat, NumPoly, _common_scale, _man_exp, _renorm, max_abs
-from .knots import KnotSet, chebyshev1_knots
+from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
 from .ratpoly import chebyshev_T
 
 
@@ -105,15 +112,17 @@ def _deflate(poly: NumPoly, root: ApFloat) -> NumPoly:
 class FundamentalBasis:
     """The n fundamental polynomials h_i bound to their knot set.
 
-    weights and slopes hold w_i and s_i at the working precision; they are
-    all that evaluation needs.  h, the dense coefficients, is built from the
-    construction's own formula on first access.  Nothing else is stored, so
-    a basis can be shared between threads.
+    weights and slopes hold w_i and s_i, rounded to the working precision,
+    as the integer pairs (m, e) with value m 2^e that the kernel reads; they
+    are all that evaluation needs.  h, the dense coefficients, is built from
+    the construction's own formula on first access.  Nothing else is stored,
+    so a basis can be shared between threads: hermite_fejer_basis hands one
+    cached basis to every caller with an equal knot set.
     """
 
     knots: KnotSet
-    weights: tuple[ApFloat, ...]
-    slopes: tuple[ApFloat, ...]
+    weights: tuple[tuple[int, int], ...]
+    slopes: tuple[tuple[int, int], ...]
     construction: str
 
     @property
@@ -181,12 +190,16 @@ def _closed_form_h(knots: KnotSet) -> tuple[NumPoly, ...]:
     return tuple(hs)
 
 
+@functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
     """General-knots construction, O(n^2): g_i(t) = prod_{j!=i} (x_i - x_j + t)
     to order 1 gives w_i = 1/g_i(0) and s_i = l_i'(x_i) = g_i'(0)/g_i(0).
 
     With the knots as integers X_j / 2^L, every difference X_i - X_j is exact;
-    (g0, g1) is a two-int block rounded once per factor.
+    (g0, g1) is a two-int block rounded once per factor.  A basis is a pure
+    function of its frozen, value-hashed knot set, so one functools.lru_cache,
+    bounded at _KNOT_SET_CAP bases like the Gauss-Jacobi knot sets, shares it
+    between calls and threads.
     """
     wp = _guarded_precision(knots)
     bits = wp + _BLOCK_GUARD_BITS
@@ -204,8 +217,8 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
                 half = 1 << (b - 1)
                 g0, g1, E = (g0 + half) >> b, (g1 + half) >> b, E + b
         g0, g1 = from_man_exp(g0, E), from_man_exp(g1, E)
-        weights.append(ApFloat(mpf_div(fone, g0, wp, _RND), wp))
-        slopes.append(ApFloat(mpf_div(g1, g0, wp, _RND), wp))
+        weights.append(_man_exp(mpf_div(fone, g0, wp, _RND)))
+        slopes.append(_man_exp(mpf_div(g1, g0, wp, _RND)))
     return FundamentalBasis(knots, tuple(weights), tuple(slopes), "general")
 
 
@@ -252,36 +265,36 @@ def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
     return tuple(d), L, tuple(g)
 
 
-def _jet_values(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
-    """One row per p in orders (ascending): h_i^(p)(y0) = p! [t^p] h_i(y0 + t)
-    for every i, raw at working precision.
+def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
+    """One row per p in orders (ascending): for every i the exact integer pair
+    (V, e) with h_i^(p)(y0) = p! [t^p] h_i(y0 + t) = V 2^e.
 
-    h_i(y0 + t) = w_i^2 g_i(t)^2 (a_i - 2 s_i t) with a_i = 1 - 2 s_i (y0 - x_i),
-    so row p reads [t^p] and [t^(p-1)] of g_i^2, each formed once however many
-    rows read it.  Each term is formed exactly in integers from w_i, s_i, d_i
-    and the g_i block and rounded once.  Every h_i has degree <= 2n-1, so rows
-    above that are exact zeros.
+    h_i(y0 + t) = l_i(y0 + t)^2 (a_i - 2 s_i t) with l_i(y0 + t) = w_i g_i(t)
+    and a_i = 1 - 2 s_i (y0 - x_i).  w_i is folded into the g_i block once,
+    before squaring, in one block rounding; row p then reads [t^p] and
+    [t^(p-1)] of l_i^2, each formed once however many rows read it, and the
+    rest is exact.  Every h_i has degree <= 2n-1, so rows above that are
+    exact zeros.
     """
-    n, wp = basis.n, basis.working_precision_bits
+    n, bits = basis.n, basis.working_precision_bits + _BLOCK_GUARD_BITS
     d, L, gs = jet
     ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0][0])))
     facts = {p: math.factorial(p) for p in orders if p in ks}
-    rows = [[fzero] * n for _ in orders]
-    for i, (g, eg) in enumerate(gs):
-        ms, es = _man_exp(basis.slopes[i].raw)
-        mw, ew = _man_exp(basis.weights[i].raw)
+    rows = [[(0, 0)] * n for _ in orders]
+    for i, ((g, eg), (mw, ew), (ms, es)) in enumerate(zip(gs, basis.weights, basis.slopes)):
+        l, el = _renorm([mw * c for c in g], eg + ew, bits)
         es += 1  # 2 s_i = ms 2^es
         # a_i = 1 - ms d[i] 2^(es - L) = A 2^ea, exactly
         ea = min(0, es - L)
         A = (1 << -ea) - (ms * d[i] << (es - L - ea))
-        e, w2 = min(ea, es), mw * mw
-        g2 = {k: _square_coeff(g, k) for k in ks}
+        e = min(ea, es)
+        l2 = {k: _square_coeff(l, k) for k in ks}
         for row, p in zip(rows, orders):
             if p in facts:
-                v = A * g2[p] << (ea - e)
+                v = A * l2[p] << (ea - e)
                 if p:
-                    v -= ms * g2[p - 1] << (es - e)
-                row[i] = from_man_exp(v * w2 * facts[p], e + 2 * (eg + ew), wp, _RND)
+                    v -= ms * l2[p - 1] << (es - e)
+                row[i] = (v * facts[p], e + 2 * el)
     return tuple(map(tuple, rows))
 
 
@@ -291,16 +304,25 @@ def _square_coeff(g: list[int], k: int) -> int:
     return 2 * half + (g[k // 2] ** 2 if k % 2 == 0 else 0)
 
 
+def _round_sum(pairs, precision_bits: int):
+    """sum_k V_k 2^(e_k), formed exactly on the least exponent and rounded
+    once to precision_bits, as a raw mpf."""
+    low = min((e for v, e in pairs if v), default=0)
+    return from_man_exp(sum(v << (e - low) for v, e in pairs if v), low, precision_bits, _RND)
+
+
 def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) -> ApFloat:
-    """Evaluate sum_i h_i(x) * values_i (the interpolation operator at x)."""
+    """Evaluate sum_i h_i(x) * values_i (the interpolation operator at x): the
+    exact sum of the row at p = 0 times the values, rounded once."""
     if len(values) != basis.n:
         raise LengthMismatch(f"{len(values)} values for {basis.n} knots")
-    wp = basis.working_precision_bits
-    acc = fzero
-    (row,) = _jet_values(basis, _jet(basis, 0, x), (0,))
-    for h, v in zip(row, values):
-        acc = mpf_add(acc, mpf_mul(h, v.raw, wp, _RND), wp, _RND)
-    return ApFloat(mpf_pos(acc, basis.precision_bits, _RND), basis.precision_bits)
+    (row,) = _rows(basis, _jet(basis, 0, x), (0,))
+    products = []
+    for (m, e), v in zip(row, values):
+        mv, ev = _man_exp(v.raw)
+        products.append((m * mv, e + ev))
+    prec = basis.precision_bits
+    return ApFloat._wrap(_round_sum(products, prec), prec)
 
 
 def derivative_sums(
@@ -309,25 +331,20 @@ def derivative_sums(
     """(residual, terms) for each p in orders, ascending integers >= 1, from
     one Taylor jet at y0 truncated at max(orders).
 
-    terms_i is h_i^(p)(y0) rounded to the knot precision; residual is the
-    ordered sum of the unrounded terms.  The sum of the h_i is identically 1
-    for any knot set, so every p >= 1 drives the residual to pure rounding
-    noise.  p = 0 is rejected: there the sum is 1, not 0.  Each row has the
-    same bits whichever other orders share its jet.
+    terms_i is h_i^(p)(y0) rounded once to the knot precision; residual is
+    the exact sum of the unrounded terms, rounded once.  The sum of the h_i
+    is identically 1 for any knot set, so every p >= 1 drives the residual
+    to the terms' own error.  p = 0 is rejected: there the sum is 1, not 0.
+    Each row has the same bits whichever other orders share its jet.
     """
     orders = list(orders)
     if not orders or orders[0] < 1 or orders != sorted(orders):
         raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
-    wp = basis.working_precision_bits
-    out_prec = basis.precision_bits
+    prec = basis.precision_bits
     out = []
-    for row in _jet_values(basis, _jet(basis, orders[-1], y0), orders):
-        terms = []
-        acc = fzero
-        for val in row:
-            acc = mpf_add(acc, val, wp, _RND)
-            terms.append(ApFloat._wrap(mpf_pos(val, out_prec, _RND), out_prec))
-        out.append((ApFloat(mpf_pos(acc, out_prec, _RND), out_prec), terms))
+    for row in _rows(basis, _jet(basis, orders[-1], y0), orders):
+        terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
+        out.append((ApFloat._wrap(_round_sum(row, prec), prec), terms))
     return out
 
 

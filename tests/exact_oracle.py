@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from fejerlab.apnum import ApFloat
-from fejerlab.hermite import _jet, _jet_values, hermite_fejer_basis
+from fejerlab.hermite import _jet, _rows, derivative_sums, hermite_fejer_basis
 from fejerlab.knots import make_knots
 
 FAMILIES = (
@@ -87,47 +87,70 @@ def _floor_log2(a: int, b: int) -> int:
     return k if (a >= b << k if k >= 0 else a << -k >= b) else k - 1
 
 
-def row_error_ulps(row, terms: list[tuple[int, int]], wp: int) -> float:
-    """max_i |row_i - A_i/B_i| in ulps at wp bits of max(1, max_i |A_i/B_i|),
-    the data scale the tolerances are stated against."""
+def term_errors(row, terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(num_i, den_i) with |V_i 2^e_i - A_i/B_i| = num_i / den_i exactly, for
+    a row of exact pairs (V_i, e_i) as hermite._rows forms them."""
+    errors = []
+    for (v, e), (a, b) in zip(row, terms):
+        low = min(e, 0)
+        errors.append((abs((v * b << (e - low)) - (a << -low)), abs(b) << -low))
+    return errors
+
+
+def error_ulps(errors: list[tuple[int, int]], terms: list[tuple[int, int]], wp: int) -> float:
+    """max_i num_i/den_i in ulps at wp bits of max(1, max_i |A_i/B_i|), the
+    data scale the tolerances are stated against."""
     top = max([0] + [_floor_log2(abs(a), abs(b)) for a, b in terms if a])
     ulp_exp = top + 1 - wp
-    worst = 0.0
-    for (sign, man, exp, _), (a, b) in zip(row, terms):
-        c = -int(man) if sign else int(man)
-        # |c 2^exp - a/b| / 2^ulp_exp as one integer ratio
-        low = min(exp, ulp_exp, 0)
-        num = abs((c * b << (exp - low)) - (a << -low))
-        den = abs(b) << (ulp_exp - low)
-        worst = max(worst, num / den)
-    return worst
+    return max((num << max(0, -ulp_exp)) / (den << max(0, ulp_exp)) for num, den in errors)
+
+
+def within_error_sum(x: Fraction, errors: list[tuple[int, int]], slack: Fraction, bits: int) -> bool:
+    """Whether |x| <= slack * sum_i num_i/den_i.
+
+    The sum is bounded below by flooring every ratio at 2^-K, with K chosen
+    so that the largest keeps bits + 64 bits; that loses less than
+    n 2^-(bits + 64) of the sum, so True is a proof and False means |x|
+    exceeds the bound or lies within that much of it.
+    """
+    live = [(num, den) for num, den in errors if num]
+    if not live:
+        return x == 0
+    K = bits + 64 - max(_floor_log2(num, den) for num, den in live)
+    floor_sum = sum((num << K) // den if K >= 0 else num // (den << -K) for num, den in live)
+    return abs(x) * Fraction(2) ** K <= slack * floor_sum
 
 
 def grid_errors(bits: int, ns=GRID_N):
-    """Yield (family, n, worst error in ulps, exact rows) over the grid at one
-    knot precision: every y0 in GRID_Y0 and p = 1..P_MAX, read from one jet
-    at P_MAX as verify-eq1 reads them.  Equispaced knots start at n = 2."""
+    """Yield (family, n, worst error in ulps, exact rows, residuals) over the
+    grid at one knot precision: every y0 in GRID_Y0 and p = 1..P_MAX, read
+    from one jet at P_MAX as verify-eq1 reads them.  residuals holds, for
+    every row, derivative_sums' residual and the row's term errors.
+    Equispaced knots start at n = 2."""
     for family, kwargs in FAMILIES:
         for n in ns:
             if family == "equispaced" and n < 2:
                 continue
             basis = hermite_fejer_basis(make_knots(family, n, bits, **kwargs))
             wp = basis.working_precision_bits
-            worst, exact = 0.0, []
+            orders = range(1, P_MAX + 1)
+            worst, exact, residuals = 0.0, [], []
             for y in GRID_Y0:
                 y0 = basis.knots.points[n // 3] if y is None else ApFloat(y, bits)
-                rows = _jet_values(basis, _jet(basis, P_MAX, y0), range(1, P_MAX + 1))
+                rows = _rows(basis, _jet(basis, P_MAX, y0), orders)
                 exact.append(exact_rows(basis.knots.points, y0, P_MAX))
-                for p, row in enumerate(rows, 1):
-                    worst = max(worst, row_error_ulps(row, exact[-1][p], wp))
-            yield family, n, worst, exact
+                for p, row, (residual, _) in zip(orders, rows, derivative_sums(basis, orders, y0)):
+                    errors = term_errors(row, exact[-1][p])
+                    worst = max(worst, error_ulps(errors, exact[-1][p], wp))
+                    residuals.append((residual, errors))
+            yield family, n, worst, exact, residuals
 
 
 if __name__ == "__main__":
     by_family = {}
     for bits in (64, 256, 1024):
         by_n = {}
-        for family, n, worst, _ in grid_errors(bits):
+        for family, n, worst, *_ in grid_errors(bits):
             by_n[n] = max(by_n.get(n, 0.0), worst)
             by_family[bits, family] = max(by_family.get((bits, family), 0.0), worst)
         print(f"{bits} bits by n:", ", ".join(f"{n}: {w:.2f}" for n, w in by_n.items()), flush=True)

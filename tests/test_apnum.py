@@ -113,6 +113,14 @@ class TestApFloat:
         assert ApFloat(1, 64) < ApFloat(2, 256)
         assert abs(ApFloat(-3, 64)) == 3
 
+    def test_hash_is_the_numeric_hash_of_the_value(self):
+        values = [0, 1, -1, 2 ** 70, -(2 ** 70), F(1, 3), F(-5, 8), F(7, 2 ** 300), F(2 ** 200, 3)]
+        for q in values:
+            for bits in (64, 256):
+                x = ApFloat(q, bits)
+                assert hash(x) == hash(x.to_fraction())
+        assert hash(ApFloat(F(1, 2), 64)) == hash(ApFloat(F(1, 2), 256)) == hash(0.5)
+
     def test_scale2_exact(self):
         x = ApFloat(F(5, 8), 96)
         assert x.scale2(3).to_fraction() == 5

@@ -1,5 +1,6 @@
 """Command-line contract: JSON schemas, exit codes, determinism, precision
 plumbing."""
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -82,18 +83,18 @@ class TestVerifyEq1:
 
     def test_one_jet_per_n_and_y0(self, capsys, monkeypatch):
         builds, rows = [], []
-        jet, jet_values = hermite_mod._jet, hermite_mod._jet_values
+        jet, jet_rows = hermite_mod._jet, hermite_mod._rows
 
         def counting_jet(basis, p_max, y0):
             builds.append((basis.n, p_max))
             return jet(basis, p_max, y0)
 
-        def counting_jet_values(basis, jet, orders):
+        def counting_rows(basis, jet, orders):
             rows.extend(orders)
-            return jet_values(basis, jet, orders)
+            return jet_rows(basis, jet, orders)
 
         monkeypatch.setattr(hermite_mod, "_jet", counting_jet)
-        monkeypatch.setattr(hermite_mod, "_jet_values", counting_jet_values)
+        monkeypatch.setattr(hermite_mod, "_rows", counting_rows)
         code, out, _ = run(
             capsys,
             "verify-eq1", "--n-max", "5", "--p-max", "6", "--y0", "0", "--y0", "1/3",
@@ -243,6 +244,14 @@ class TestConjectureCommand:
         assert rows[0]["candidate"] == "16/3"
         assert rows[1]["candidate"] == "-16/3"
 
+    def test_explore_mode_rejects_a_repeated_n(self, capsys):
+        code, out, err = run(
+            capsys, "conjecture", "--family", "equispaced", "--p", "2", "--n-list", "3,3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_explore_mode_rejects_a_second_y0(self, capsys):
         code, out, err = run(
             capsys,
@@ -371,3 +380,22 @@ def test_stdout_matches_golden_file(name, argv, capsys, monkeypatch):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+#: sha256 of each verify-eq1 golden file with the residual dropped from every
+#: record, taken before the residuals became exact row sums: that rewrite
+#: changed residual strings only.
+GOLDEN_WITHOUT_RESIDUALS = {
+    "verify_eq1_gauss_jacobi": "b4c4937f6518de53b22f09a19b77e4e431466dd0b98f1bb91109ad011e72550b",
+    "verify_eq1_equispaced_512": "ce3184748440addbac198941022318788b49e0505f2f3cb55fa2e3025fd4b196",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WITHOUT_RESIDUALS))
+def test_golden_fields_other_than_residual_are_unchanged(name):
+    digest = hashlib.sha256()
+    for line in (GOLDEN / f"{name}.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        del record["residual"]
+        digest.update((json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_WITHOUT_RESIDUALS[name]

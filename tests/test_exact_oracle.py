@@ -1,8 +1,11 @@
 """The terms h_i^(p)(y0) of the integer kernel against the exact dyadic oracle
-(tests/exact_oracle.py), in ulps of the working precision at the data scale."""
+(tests/exact_oracle.py), in ulps of the working precision at the data scale,
+and the residuals of derivative_sums against the terms' exact errors."""
+from fractions import Fraction
+
 import pytest
 
-from exact_oracle import GRID_N, exact_sum, grid_errors
+from exact_oracle import GRID_N, exact_sum, grid_errors, within_error_sum
 
 #: The largest per-term error of the libmp path that the integer kernel
 #: replaced, measured with the same oracle on the same grid (n = 40 at 1024
@@ -19,12 +22,18 @@ KERNEL_MAX_ULPS = 16
 def test_terms_against_exact_oracle(bits):
     ns = GRID_N if bits < 1024 else [n for n in GRID_N if n <= 17]
     worst = {}
-    for family, n, err, exact in grid_errors(bits, ns):
+    for family, n, err, exact, residuals in grid_errors(bits, ns):
         worst[family, n] = err
         if n <= 8:
             # the oracle's own formula: sum_i N_i / G_i^3 is exactly 0 for p >= 1
             assert all(exact_sum(rows[p]) == 0 for rows in exact for p in range(1, len(rows)))
             assert all(exact_sum(rows[0]) == 1 for rows in exact)
+        # The exact terms E_i sum to 0, so the exact sum of the kernel's terms
+        # T_i is at most sum_i |T_i - E_i|, and the residual is that sum
+        # rounded once to the knot precision.
+        slack = 1 + Fraction(2) ** (1 - bits)
+        for residual, errors in residuals:
+            assert within_error_sum(residual.to_fraction(), errors, slack, bits), (family, n)
     top = max(worst.values())
     assert top <= LIBMP_MAX_ULPS[bits], worst
     assert top <= KERNEL_MAX_ULPS, worst

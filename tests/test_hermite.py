@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, NumPoly, max_abs, to_apfloat
 from fejerlab.hermite import (
     LengthMismatch,
@@ -152,6 +153,19 @@ class TestHermiteFejerBasis:
         for i, x in enumerate(basis.knots.points):
             assert abs(basis.h[i].evaluate(x) - 1) <= tol
 
+    def test_equal_knot_sets_share_one_cached_basis(self):
+        a, b = chebyshev1_knots(5, BITS), chebyshev1_knots(5, BITS)
+        assert a is not b and a == b
+        assert hermite_fejer_basis(a) is hermite_fejer_basis(b)
+
+    def test_cache_is_bounded_at_the_knot_set_cap(self):
+        info = hermite_fejer_basis.cache_info()
+        assert info.maxsize == knots_mod._KNOT_SET_CAP
+        for k in range(100):
+            hermite_fejer_basis(equispaced_knots(2, F(-1), F(k + 1), 64))
+            assert hermite_fejer_basis.cache_info().currsize <= info.maxsize
+        assert hermite_fejer_basis.cache_info().currsize == info.maxsize
+
     def test_middle_knot_degree_drop(self):
         # odd-n Chebyshev: l_mid'(0) = 0 by symmetry, so h_mid loses its top term
         basis = hermite_fejer_basis(chebyshev1_knots(7, BITS))
@@ -283,7 +297,9 @@ class TestDerivativeSum:
     def test_repeated_calls_are_deterministic(self):
         # two fresh bases of the same knots give the same bits
         y0 = to_apfloat(F(1, 7), BITS)
+        hermite_fejer_basis.cache_clear()
         r1, t1 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
+        hermite_fejer_basis.cache_clear()
         r2, t2 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
         assert r1.raw == r2.raw and [t.raw for t in t1] == [t.raw for t in t2]
 
@@ -310,7 +326,17 @@ class TestDerivativeSum:
     def test_shared_basis_under_threads_matches_serial(self):
         # threads share one basis across mixed (p, y0); every result must
         # match the serial one on a copy of the basis
-        basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
+        self._threads_share_one_basis(cold=False)
+
+    def test_cold_basis_cache_under_threads(self):
+        # every thread looks the basis up in an emptied cache and must see
+        # the same weights and slopes, and then the same results
+        self._threads_share_one_basis(cold=True)
+
+    @staticmethod
+    def _threads_share_one_basis(cold):
+        knots = gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS)
+        basis = hermite_fejer_basis(knots)
         points = [basis.knots.points[4], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)]
         jobs = [(p, k) for k in range(len(points)) for p in (19, 8, 5, 2, 1)]
 
@@ -319,16 +345,20 @@ class TestDerivativeSum:
             return r.raw, tuple(x.raw for x in t)
 
         serial = {job: raws(replace(basis), *job) for job in jobs}
-        seen, errors = [], []
+        seen, bases, errors = [], [], []
 
         def work(shift):
             try:
+                shared = hermite_fejer_basis(knots) if cold else basis
+                bases.append((shared.weights, shared.slopes))
                 for rep in range(4):
                     for job in jobs[shift + rep :] + jobs[: shift + rep]:
-                        seen.append((job, raws(basis, *job)))
+                        seen.append((job, raws(shared, *job)))
             except Exception as exc:  # collected and asserted below
                 errors.append(exc)
 
+        if cold:
+            hermite_fejer_basis.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -342,6 +372,7 @@ class TestDerivativeSum:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(seen) == 4 * 4 * len(jobs)
+        assert bases == [(basis.weights, basis.slopes)] * 4
         assert all(result == serial[job] for job, result in seen)
 
     def test_jet_builds_no_dense_polynomial(self, monkeypatch):
@@ -353,6 +384,7 @@ class TestDerivativeSum:
             return original(self, other)
 
         monkeypatch.setattr(NumPoly, "__mul__", counting_mul)
+        hermite_fejer_basis.cache_clear()  # a cached basis may hold h from another test
         basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
         for p in (1, 4, 17, 18):
             derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
