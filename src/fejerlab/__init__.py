@@ -18,6 +18,7 @@ from .hermite import (
     FundamentalBasis,
     LengthMismatch,
     chebyshev_closed_form,
+    derivative_extremes,
     derivative_sum,
     derivative_sums,
     hermite_fejer_basis,
@@ -81,6 +82,7 @@ __all__ = [
     "chebyshev_closed_form",
     "conjecture_power_formula",
     "cos",
+    "derivative_extremes",
     "derivative_sum",
     "derivative_sums",
     "equispaced_knots",

@@ -13,8 +13,9 @@ Output is JSON lines by default (one object per check, streamed in sweep
 order) and is byte-identical across runs for identical argv.  Exit status: 0
 when every performed check passed, 1 when any failed, 2 on usage errors, 3
 on a numeric failure (a root iteration that did not converge, or knots too
-close for the working precision); errors go to stderr as one "error: ..."
-line.
+close for the working precision), 141 (128 + SIGPIPE) when the reader of
+stdout closed it early, as in `fejerlab verify-eq1 ... | head -1`; errors go
+to stderr as one "error: ..." line, and a closed pipe prints nothing.
 The default precision is 256 bits, overridable by the FEJERLAB_PRECISION_BITS
 environment variable and per-run by --precision-bits.
 """
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from . import conjecture as conj
 from .apnum import MIN_PRECISION_BITS, ApFloat
-from .hermite import derivative_sums, hermite_fejer_basis, scaled_tolerance
+from .hermite import derivative_extremes, hermite_fejer_basis, scaled_tolerance
 from .hermite import derivative_sum  # noqa: F401  (bench/tracing.py patches this name)
 from .identities import inverse_power_sum, verify_cosecant_sum
 from .knots import ConvergenceFailure, KnotSpacingError, make_knots
@@ -136,15 +137,17 @@ def _cmd_verify_eq1(args) -> int:
     if args.p_max < 1:
         raise UsageError("--p-max must be >= 1")
     y0_list = args.y0 or [Fraction(0)]
+    if len(set(y0_list)) != len(y0_list):
+        raise UsageError("--y0 values must be distinct")
     y0_points = [ApFloat(y0, args.precision_bits) for y0 in y0_list]
     params = _knot_params(args)
     all_pass = True
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
-        sums = [derivative_sums(basis, range(1, args.p_max + 1), y0) for y0 in y0_points]
+        sums = [derivative_extremes(basis, range(1, args.p_max + 1), y0) for y0 in y0_points]
         for p, row in enumerate(zip(*sums), 1):
-            for y0, (residual, terms) in zip(y0_list, row):
-                tolerance = scaled_tolerance(terms, args.precision_bits)
+            for y0, (residual, largest) in zip(y0_list, row):
+                tolerance = scaled_tolerance([largest], args.precision_bits)
                 ok = abs(residual) <= tolerance
                 all_pass &= ok
                 obj = {
@@ -325,6 +328,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit cannot fail again (see the SIGPIPE note in the
+        # signal module's docs), and exit as a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(argv) -> int:
     try:
         parser = build_parser(_default_precision())
         try:

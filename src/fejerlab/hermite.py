@@ -20,8 +20,9 @@ w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
 so nothing divides by y0 - x_i.  derivative_sums reads every requested order
 from one jet, so a caller that checks p = 1..p_max at one y0 builds one jet
 per (n, y0); nothing is stored between calls.  A basis is a pure function of
-its knot set and is cached, bounded like the Gauss-Jacobi knot sets, so a
-caller that repeats a knot set builds its basis once.
+its knot set and is cached, bounded like the knot sets, which every family
+caches too, so a caller that repeats a knot set builds the set and its basis
+once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -44,7 +45,10 @@ working precision at the data scale; one libmp rounding per operation gave
 up to about 285 on the same grid.  Each term is reported rounded once,
 straight to the knot precision.  A residual is the exact sum of its row's
 terms on one exponent, rounded once, so it is at most the sum of the terms'
-errors times 1 + 2^(1 - knot precision).
+errors times 1 + 2^(1 - knot precision).  verify-eq1 prints only the
+residual and a tolerance scaled by the largest |term|, so it reads
+derivative_extremes, which rounds just those two numbers per row, taking the
+maximum exactly on the row's integers, instead of n terms and the residual.
 
 The knot precision plus 64 + 4n guard bits is the working precision, and
 tolerances are stated against the knot precision; the acceptance suite
@@ -55,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from mpmath.libmp import (
@@ -115,9 +119,10 @@ class FundamentalBasis:
     weights and slopes hold w_i and s_i, rounded to the working precision,
     as the integer pairs (m, e) with value m 2^e that the kernel reads; they
     are all that evaluation needs.  h, the dense coefficients, is built from
-    the construction's own formula on first access.  Nothing else is stored,
-    so a basis can be shared between threads: hermite_fejer_basis hands one
-    cached basis to every caller with an equal knot set.
+    the construction's own formula on every read and never stored, so a
+    cached basis holds O(n) numbers whoever reads it.  Nothing else is
+    stored, so a basis can be shared between threads: hermite_fejer_basis
+    hands one cached basis to every caller with an equal knot set.
     """
 
     knots: KnotSet
@@ -138,9 +143,10 @@ class FundamentalBasis:
     def working_precision_bits(self) -> int:
         return _guarded_precision(self.knots)
 
-    @cached_property
+    @property
     def h(self) -> tuple[NumPoly, ...]:
-        """Dense coefficients of every h_i: the reference construction."""
+        """Dense coefficients of every h_i: the reference construction, O(n^2)
+        numbers built afresh on each read."""
         closed = self.construction == "chebyshev_closed_form"
         return (_closed_form_h if closed else _general_h)(self.knots)
 
@@ -198,7 +204,7 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
     With the knots as integers X_j / 2^L, every difference X_i - X_j is exact;
     (g0, g1) is a two-int block rounded once per factor.  A basis is a pure
     function of its frozen, value-hashed knot set, so one functools.lru_cache,
-    bounded at _KNOT_SET_CAP bases like the Gauss-Jacobi knot sets, shares it
+    bounded at _KNOT_SET_CAP bases like the knot sets, shares it
     between calls and threads.
     """
     wp = _guarded_precision(knots)
@@ -230,10 +236,15 @@ def chebyshev_closed_form(n: int, precision_bits: int) -> FundamentalBasis:
 
 
 def _times_factor(block: tuple, d: int, L: int, bits: int) -> tuple:
-    """The block times (d 2^-L + t), truncated to its length, rounded once."""
+    """The block times (d 2^-L + t), truncated to its length, rounded once
+    (_renorm inlined: a block has at least two coefficients)."""
     c, E = block
-    out = [c[0] * d] + [ck * d + (c[k] << L) for k, ck in enumerate(c[1:])]
-    return _renorm(out, E - L, bits)
+    out = [c[0] * d] + [ck * d + (lower << L) for ck, lower in zip(c[1:], c)]
+    b = max(out[0].bit_length(), out[1].bit_length()) - bits
+    if b <= 0:
+        return out, E - L
+    half = 1 << (b - 1)
+    return [(v + half) >> b for v in out], E - L + b
 
 
 def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
@@ -259,7 +270,7 @@ def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
     suffix, g = prefix[0], [None] * n
     for i in reversed(range(n)):
         (a, ea), (b, eb) = prefix[i], suffix
-        dots = [sum(a[m] * b[k - m] for m in range(k + 1)) for k in range(q + 1)]
+        dots = [sum(map(mul, a, b[k::-1])) for k in range(q + 1)]
         g[i] = _renorm(dots, ea + eb, bits)
         suffix = _times_factor(suffix, d[i], L, bits)
     return tuple(d), L, tuple(g)
@@ -279,8 +290,8 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
     n, bits = basis.n, basis.working_precision_bits + _BLOCK_GUARD_BITS
     d, L, gs = jet
     ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0][0])))
-    facts = {p: math.factorial(p) for p in orders if p in ks}
     rows = [[(0, 0)] * n for _ in orders]
+    live = [(row, p, math.factorial(p)) for row, p in zip(rows, orders) if p in ks]
     for i, ((g, eg), (mw, ew), (ms, es)) in enumerate(zip(gs, basis.weights, basis.slopes)):
         l, el = _renorm([mw * c for c in g], eg + ew, bits)
         es += 1  # 2 s_i = ms 2^es
@@ -288,27 +299,34 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
         ea = min(0, es - L)
         A = (1 << -ea) - (ms * d[i] << (es - L - ea))
         e = min(ea, es)
+        A, ms = A << (ea - e), ms << (es - e)  # both on exponent e
+        e += 2 * el
         l2 = {k: _square_coeff(l, k) for k in ks}
-        for row, p in zip(rows, orders):
-            if p in facts:
-                v = A * l2[p] << (ea - e)
-                if p:
-                    v -= ms * l2[p - 1] << (es - e)
-                row[i] = (v * facts[p], e + 2 * el)
+        for row, p, fact in live:
+            v = A * l2[p] - ms * l2[p - 1] if p else A * l2[0]
+            row[i] = (v * fact, e)
     return tuple(map(tuple, rows))
 
 
 def _square_coeff(g: list[int], k: int) -> int:
-    """[t^k] of g(t)^2."""
-    half = sum(g[m] * g[k - m] for m in range((k + 1) // 2))
+    """[t^k] of g(t)^2: twice the products g_m g_(k-m) with m < k/2, plus
+    g_(k/2)^2 for even k."""
+    half = sum(map(mul, g[: (k + 1) // 2], g[k::-1]))
     return 2 * half + (g[k // 2] ** 2 if k % 2 == 0 else 0)
+
+
+def _one_exponent(pairs) -> tuple[list[int], int]:
+    """The nonzero V_k 2^(e_k) as exact integers on their least exponent:
+    (ints, low) with V_k 2^(e_k) = ints_k 2^low."""
+    low = min((e for v, e in pairs if v), default=0)
+    return [v << (e - low) for v, e in pairs if v], low
 
 
 def _round_sum(pairs, precision_bits: int):
     """sum_k V_k 2^(e_k), formed exactly on the least exponent and rounded
     once to precision_bits, as a raw mpf."""
-    low = min((e for v, e in pairs if v), default=0)
-    return from_man_exp(sum(v << (e - low) for v, e in pairs if v), low, precision_bits, _RND)
+    ints, low = _one_exponent(pairs)
+    return from_man_exp(sum(ints), low, precision_bits, _RND)
 
 
 def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) -> ApFloat:
@@ -325,6 +343,16 @@ def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) 
     return ApFloat._wrap(_round_sum(products, prec), prec)
 
 
+def _order_rows(basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat) -> tuple:
+    """The exact rows of orders, ascending integers >= 1, from one Taylor jet
+    at y0 truncated at max(orders).  p = 0 is rejected: there the sum of the
+    h_i is 1, not 0."""
+    orders = list(orders)
+    if not orders or orders[0] < 1 or orders != sorted(orders):
+        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
+    return _rows(basis, _jet(basis, orders[-1], y0), orders)
+
+
 def derivative_sums(
     basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
 ) -> list[tuple[ApFloat, list[ApFloat]]]:
@@ -334,17 +362,37 @@ def derivative_sums(
     terms_i is h_i^(p)(y0) rounded once to the knot precision; residual is
     the exact sum of the unrounded terms, rounded once.  The sum of the h_i
     is identically 1 for any knot set, so every p >= 1 drives the residual
-    to the terms' own error.  p = 0 is rejected: there the sum is 1, not 0.
-    Each row has the same bits whichever other orders share its jet.
+    to the terms' own error.  Each row has the same bits whichever other
+    orders share its jet.
     """
-    orders = list(orders)
-    if not orders or orders[0] < 1 or orders != sorted(orders):
-        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
     prec = basis.precision_bits
     out = []
-    for row in _rows(basis, _jet(basis, orders[-1], y0), orders):
+    for row in _order_rows(basis, orders, y0):
         terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
         out.append((ApFloat._wrap(_round_sum(row, prec), prec), terms))
+    return out
+
+
+def derivative_extremes(
+    basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
+) -> list[tuple[ApFloat, ApFloat]]:
+    """(residual, largest) for each p in orders: derivative_sums' residual,
+    and max_i |h_i^(p)(y0)|, each rounded once to the knot precision, with
+    no term rounded on its own.
+
+    The maximum is taken exactly, on the row's integers on one exponent.
+    Rounding to nearest is monotone and odd, so largest has the bits of
+    max_abs of derivative_sums' terms; a zero row (p > 2n-1) gives 0.
+    """
+    prec = basis.precision_bits
+    out = []
+    for row in _order_rows(basis, orders, y0):
+        ints, low = _one_exponent(row)
+        top = max(max(ints), -min(ints)) if ints else 0
+        out.append((
+            ApFloat._wrap(from_man_exp(sum(ints), low, prec, _RND), prec),
+            ApFloat._wrap(from_man_exp(top, low, prec, _RND), prec),
+        ))
     return out
 
 

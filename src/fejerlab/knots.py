@@ -21,7 +21,9 @@ alternate, which proves exactly one root in each cell.  A set that fails it
 raises ConvergenceFailure; a wrong knot is never returned.  No external root
 finder is involved.  A finished set is a pure function of (n, alpha, beta,
 precision), so one functools.lru_cache bounded at _KNOT_SET_CAP sets shares
-it between calls and threads.
+it between calls and threads.  The closed-form families are cached the same
+way, one lru_cache per family, so make_knots hands back the same frozen set
+for a repeated request.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ _ROOT_GUARD_BITS = 32
 
 #: Newton (float seed) or Halley (fixed point) steps allowed per root.
 _NEWTON_CAP = 200
+
+
+#: Finished knot sets kept by each family's cache (and bases by hermite's).
+_KNOT_SET_CAP = 64
 
 
 class ConvergenceFailure(RuntimeError):
@@ -109,16 +115,19 @@ def _cosine_knots(family: str, n: int, precision_bits: int, num, den: int) -> Kn
     return KnotSet(family=family, n=n, points=points, precision_bits=precision_bits)
 
 
+@functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def chebyshev1_knots(n: int, precision_bits: int) -> KnotSet:
     """Roots of T_n: cos((2i-1) pi / (2n)), i = 1..n, in ascending order."""
     return _cosine_knots("chebyshev1", n, precision_bits, lambda i: 2 * i - 1, 2 * n)
 
 
+@functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def chebyshev2_knots(n: int, precision_bits: int) -> KnotSet:
     """Roots of U_n: cos(i pi / (n+1)), i = 1..n, in ascending order."""
     return _cosine_knots("chebyshev2", n, precision_bits, lambda i: i, n + 1)
 
 
+@functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def equispaced_knots(n: int, a: Fraction, b: Fraction, precision_bits: int) -> KnotSet:
     """n equally spaced knots x_i = a + (i-1)(b-a)/(n-1) on [a, b]."""
     _check_precision(precision_bits)
@@ -333,10 +342,6 @@ def _certify(steps, roots: list[int], wp: int) -> None:
     for i, cut in enumerate(cuts):
         if _fixed_sign(steps, cut, wp) != (-1) ** (n - i):
             raise ConvergenceFailure("Jacobi root certificate failed: signs do not alternate")
-
-
-#: Finished Gauss-Jacobi knot sets kept by _jacobi_knot_set's cache.
-_KNOT_SET_CAP = 64
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)

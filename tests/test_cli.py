@@ -2,6 +2,9 @@
 plumbing."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -103,6 +106,17 @@ class TestVerifyEq1:
         assert len(json_lines(out)) == 4 * 6 * 2
         assert builds == [(n, 6) for n in (2, 3, 4, 5) for _ in range(2)]
         assert len(rows) == 48  # one row per record, none formed twice
+
+    @pytest.mark.parametrize(
+        "y0s", [("1/3", "1/3"), ("1/2", "2/4"), ("0.5", "1/2"), ("0", "1/5", "0/7")]
+    )
+    def test_repeated_y0_is_usage_error(self, capsys, y0s):
+        # equal as rationals is repeated, however it is spelled
+        argv = ["verify-eq1", "--n", "4"] + [f"--y0={y0}" for y0 in y0s]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_gauss_jacobi_defaults_to_legendre(self, capsys):
         code, out, _ = run(
@@ -290,6 +304,22 @@ class TestForeignOptions:
         assert json_lines(out)[0]["points"][:1] == ["-1.0"]
 
 
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # the output (about 130 kB) outgrows a 64 kB pipe buffer, so the writer
+    # meets the closed pipe whatever the scheduling
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "fejerlab.cli", "verify-eq1", "--n-max", "100",
+            "--p-max", "8", "--precision-bits", "64"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["n"] == 2
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""  # no traceback and no "Exception ignored" line
+
+
 class TestConfig:
     def test_determinism_byte_identical(self, capsys):
         args = ("verify-eq1", "--family", "chebyshev2", "--n", "4", "--p-max", "3",
@@ -363,6 +393,9 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify_eq1_equispaced_512",
          "verify-eq1 --family equispaced --n-max 5 --p-max 10 --y0 0 --y0 1/2 --y0=-5/4"
          " --precision-bits 512"),
+        ("verify_eq1_chebyshev2_n47_512",
+         "verify-eq1 --family chebyshev2 --n 47 --p-max 8 --y0 0 --y0 3/10 --y0=-9/10"
+         " --y0 5/4 --precision-bits 512"),
         ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
         ("conjecture_gauss_jacobi_gegenbauer_512",
          "conjecture --family gauss_jacobi --alpha 1/2 --beta 1/2 --p 2 --y0 0"

@@ -12,6 +12,7 @@ from fejerlab.apnum import ApFloat, NumPoly, max_abs, to_apfloat
 from fejerlab.hermite import (
     LengthMismatch,
     chebyshev_closed_form,
+    derivative_extremes,
     derivative_sum,
     derivative_sums,
     hermite_fejer_basis,
@@ -20,6 +21,7 @@ from fejerlab.hermite import (
     scaled_tolerance,
 )
 from fejerlab.knots import (
+    KnotSet,
     chebyshev1_knots,
     chebyshev2_knots,
     equispaced_knots,
@@ -154,9 +156,21 @@ class TestHermiteFejerBasis:
             assert abs(basis.h[i].evaluate(x) - 1) <= tol
 
     def test_equal_knot_sets_share_one_cached_basis(self):
-        a, b = chebyshev1_knots(5, BITS), chebyshev1_knots(5, BITS)
+        # two equal but distinct sets: the basis cache is keyed by value
+        a = chebyshev1_knots(5, BITS)
+        b = KnotSet(**vars(a))
         assert a is not b and a == b
         assert hermite_fejer_basis(a) is hermite_fejer_basis(b)
+
+    def test_reading_h_leaves_nothing_on_a_cached_basis(self):
+        knots = chebyshev2_knots(6, BITS)
+        basis = hermite_fejer_basis(knots)
+        before = dict(vars(basis))
+        first = basis.h
+        assert len(first) == 6
+        assert vars(basis) == before
+        assert hermite_fejer_basis(knots) is basis
+        assert basis.h is not first  # built afresh, so nothing pins it
 
     def test_cache_is_bounded_at_the_knot_set_cap(self):
         info = hermite_fejer_basis.cache_info()
@@ -384,7 +398,6 @@ class TestDerivativeSum:
             return original(self, other)
 
         monkeypatch.setattr(NumPoly, "__mul__", counting_mul)
-        hermite_fejer_basis.cache_clear()  # a cached basis may hold h from another test
         basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
         for p in (1, 4, 17, 18):
             derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
@@ -406,12 +419,57 @@ class TestDerivativeSum:
         # the dense h_i, differentiated by coefficient shifting, are the reference
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
         knot = basis.knots.points[n // 3]
+        hs = basis.h
         for y0 in (knot, to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
             for p in range(1, 2 * n + 2):
                 _, terms = derivative_sum(basis, p, y0)
-                dense = [h.derivative(p).evaluate(y0) for h in basis.h]
+                dense = [h.derivative(p).evaluate(y0) for h in hs]
                 tol = scaled_tolerance(terms + dense, BITS)
                 assert all(abs(t - e) <= tol for t, e in zip(terms, dense)), (p, y0)
+
+
+EXTREME_FAMILIES = [
+    ("chebyshev1", {}),
+    ("chebyshev2", {}),
+    ("equispaced", {}),
+    ("gauss_jacobi", {"alpha": F(1, 3), "beta": F(1, 5)}),
+]
+
+
+class TestDerivativeExtremes:
+    """derivative_extremes rounds two numbers per row; they must have the bits
+    of derivative_sums' residual and of max_abs over its rounded terms."""
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    @pytest.mark.parametrize(
+        "family,kwargs,n",
+        [
+            (family, kwargs, n)
+            for family, kwargs in EXTREME_FAMILIES
+            for n in (1, 2, 5, 17, 48)
+            if (family, n) != ("equispaced", 1)  # equispaced sets need n >= 2
+        ],
+    )
+    def test_match_the_rounded_terms(self, family, kwargs, n, bits):
+        basis = hermite_fejer_basis(make_knots(family, n, bits, **kwargs))
+        orders = range(1, 2 * n + 2)  # p = 2n and 2n + 1 are zero rows
+        for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), bits), to_apfloat(F(-5, 4), bits)):
+            sums = derivative_sums(basis, orders, y0)
+            extremes = derivative_extremes(basis, orders, y0)
+            assert len(extremes) == len(sums) == 2 * n + 1
+            for p, ((residual, terms), (r, largest)) in enumerate(zip(sums, extremes), 1):
+                assert r.raw == residual.raw, (p, y0)
+                assert largest.raw == max_abs(terms).raw, (p, y0)
+                assert largest.precision_bits == bits
+                assert scaled_tolerance([largest], bits) == scaled_tolerance(terms, bits)
+                if p >= 2 * n:
+                    assert largest.is_zero() and r.is_zero()
+
+    @pytest.mark.parametrize("orders", [[], [0, 1], [2, 1]])
+    def test_orders_must_ascend_from_one(self, orders):
+        basis = hermite_fejer_basis(chebyshev1_knots(3, BITS))
+        with pytest.raises(ValueError):
+            derivative_extremes(basis, orders, ApFloat(0, BITS))
 
 
 class TestScaledTolerance:

@@ -537,3 +537,77 @@ class TestMakeKnots:
     def test_gauss_jacobi_needs_parameters(self):
         with pytest.raises(ValueError):
             make_knots("gauss_jacobi", 3, BITS)
+
+
+CLOSED_FORM_FAMILIES = [
+    (chebyshev1_knots, lambda k: (k + 1, 64)),
+    (chebyshev2_knots, lambda k: (k + 1, 64)),
+    (equispaced_knots, lambda k: (k + 2, F(-1), F(1), 64)),
+]
+
+
+class TestClosedFormKnotCaches:
+    """chebyshev1, chebyshev2 and equispaced sets are cached like the
+    Gauss-Jacobi ones: bounded, per family, by value of the arguments."""
+
+    @pytest.mark.parametrize("family, args", CLOSED_FORM_FAMILIES)
+    def test_repeated_key_returns_the_same_set(self, family, args):
+        assert family(*args(4)) is family(*args(4))
+
+    def test_make_knots_hands_back_the_cached_set(self):
+        first = make_knots("equispaced", 5, BITS, a=F(-1), b=F(1))
+        assert make_knots("equispaced", 5, BITS) is first
+        assert make_knots("chebyshev2", 5, BITS) is chebyshev2_knots(5, BITS)
+
+    @pytest.mark.parametrize("family, args", CLOSED_FORM_FAMILIES)
+    def test_bounded_at_the_knot_set_cap(self, family, args):
+        cap = knots_mod._KNOT_SET_CAP
+        assert family.cache_info().maxsize == cap
+        for k in range(100):
+            family(*args(k))
+            assert family.cache_info().currsize <= cap
+        assert family.cache_info().currsize == cap
+
+    @pytest.mark.parametrize(
+        "family, args",
+        [
+            (equispaced_knots, (1, F(-1), F(1), BITS)),
+            (equispaced_knots, (3, F(1), F(1), BITS)),
+            (equispaced_knots, (3, F(2), F(1), BITS)),
+            (chebyshev1_knots, (0, BITS)),
+            (chebyshev2_knots, (3, 8)),
+        ],
+        ids=["one-point", "a-equals-b", "a-above-b", "chebyshev1-n0", "chebyshev2-low-bits"],
+    )
+    def test_invalid_call_raises_every_time(self, family, args):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                family(*args)
+
+    @pytest.mark.parametrize("family, args", CLOSED_FORM_FAMILIES)
+    def test_cold_cache_under_threads(self, family, args):
+        family.cache_clear()
+        key = (*args(30)[:-1], 512)
+        results, errors = [], []
+
+        def build():
+            try:
+                results.append(family(*key))
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        family.cache_clear()
+        fresh = family(*key)
+        assert len(results) == 4 and all(r == fresh for r in results)
