@@ -20,7 +20,6 @@ from .hermite import (
     chebyshev_closed_form,
     derivative_extremes,
     derivative_sum,
-    derivative_sums,
     hermite_fejer_basis,
     interpolate,
     lagrange_basis,
@@ -84,7 +83,6 @@ __all__ = [
     "cos",
     "derivative_extremes",
     "derivative_sum",
-    "derivative_sums",
     "equispaced_knots",
     "explore_knot_family",
     "format_rational",

@@ -16,8 +16,8 @@ on a numeric failure (a root iteration that did not converge, or knots too
 close for the working precision), 141 (128 + SIGPIPE) when the reader of
 stdout closed it early, as in `fejerlab verify-eq1 ... | head -1`; errors go
 to stderr as one "error: ..." line, and a closed pipe prints nothing.
-The default precision is 256 bits, overridable by the FEJERLAB_PRECISION_BITS
-environment variable and per-run by --precision-bits.
+The precision is --precision-bits when given; otherwise the
+FEJERLAB_PRECISION_BITS environment variable, read only then, or 256 bits.
 """
 from __future__ import annotations
 
@@ -33,11 +33,10 @@ from .apnum import MIN_PRECISION_BITS, ApFloat
 from .hermite import derivative_extremes, hermite_fejer_basis, scaled_tolerance
 from .hermite import derivative_sum  # noqa: F401  (bench/tracing.py patches this name)
 from .identities import inverse_power_sum, verify_cosecant_sum
-from .knots import ConvergenceFailure, KnotSpacingError, make_knots
+from .knots import FAMILIES, ConvergenceFailure, KnotSpacingError, make_knots
 from .ratpoly import format_rational
 
 PRECISION_ENV_VAR = "FEJERLAB_PRECISION_BITS"
-FAMILIES = ("chebyshev1", "chebyshev2", "equispaced", "gauss_jacobi")
 
 
 class UsageError(ValueError):
@@ -47,7 +46,8 @@ class UsageError(ValueError):
 # The parsed argparse namespace is the run configuration: subcommand,
 # precision_bits (>= 64, default 256 or the environment override), n / n_max,
 # p / p_max, the y0 list, family with its parameters, and the output mode.
-# Every constraint is validated before any computation starts.
+# The CLI checks how the options combine; the library checks the values it
+# is handed.  Both raise before the first record is printed.
 
 
 def _fraction(text: str) -> Fraction:
@@ -81,13 +81,6 @@ def _emit(obj: dict, mode: str, text: str) -> None:
         print(text)
 
 
-#: Each family's knot parameters and their defaults.
-_KNOT_PARAMS = {
-    "gauss_jacobi": {"alpha": Fraction(0), "beta": Fraction(0)},
-    "equispaced": {"a": Fraction(-1), "b": Fraction(1)},
-}
-
-
 def _reject_given(args, names, where: str) -> None:
     """A usage error if any of the named options was given explicitly."""
     for name in names:
@@ -96,13 +89,9 @@ def _reject_given(args, names, where: str) -> None:
 
 
 def _knot_params(args) -> dict:
-    """The family's knot parameters, defaults filled in.  A parameter of
-    another family is a usage error, not silently ignored."""
-    params = _KNOT_PARAMS.get(args.family, {})
-    foreign = [k for k in ("alpha", "beta", "a", "b") if k not in params]
-    _reject_given(args, foreign, f"--family {args.family}")
-    given = {k: getattr(args, k) for k in params}
-    return {k: default if given[k] is None else given[k] for k, default in params.items()}
+    """The knot parameters given explicitly; make_knots fills in the family's
+    defaults and rejects a parameter of another family."""
+    return {k: getattr(args, k) for k in ("alpha", "beta", "a", "b") if getattr(args, k) is not None}
 
 
 def _n_values(args, odd: bool = False) -> list[int]:
@@ -114,8 +103,6 @@ def _n_values(args, odd: bool = False) -> list[int]:
         if args.n_max < first:
             raise UsageError(f"--n-max must be >= {first}")
         return list(range(first, args.n_max + 1, 2 if odd else 1))
-    if odd and (args.n < 3 or args.n % 2 == 0):
-        raise UsageError(f"n must be odd and >= 3, got {args.n}")
     return [args.n]
 
 
@@ -189,8 +176,6 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_power_sum(args) -> int:
-    if args.m < 1:
-        raise UsageError("--m must be >= 1")
     for n in _n_values(args, odd=True):
         value = inverse_power_sum(n, args.m)
         obj = {"n": n, "m": args.m, "value": format_rational(value)}
@@ -231,8 +216,6 @@ def _conjecture_explore(args) -> int:
         raise UsageError("explore mode needs --p and --n-list")
     if args.y0 and len(args.y0) > 1:
         raise UsageError("explore mode takes at most one --y0")
-    if len(set(args.n_list)) != len(args.n_list):
-        raise UsageError("--n-list entries must be distinct")
     y0 = args.y0[0] if args.y0 else Fraction(0)
     findings = conj.explore_knot_family(
         args.family,
@@ -266,9 +249,11 @@ def _conjecture_explore(args) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def build_parser(default_precision: int) -> argparse.ArgumentParser:
+def build_parser(default_precision: int | None) -> argparse.ArgumentParser:
     """The fejerlab parser, built once per default precision and then shared:
-    parse_args does not change it, and callers must not either."""
+    parse_args does not change it, and callers must not either.  main passes
+    None, so that an absent --precision-bits parses as None and the
+    environment is read only then."""
     parser = argparse.ArgumentParser(
         prog="fejerlab",
         description="Hermite-Fejer interpolation identities: verify and discover.",
@@ -306,8 +291,8 @@ def build_parser(default_precision: int) -> argparse.ArgumentParser:
 
     # Options shared by several subcommands, declared once.  They follow each
     # subcommand's own options, which fixes their place in its --help.  The
-    # knot parameters default to None, so only an option given explicitly is
-    # checked against the family; _knot_params fills in the defaults.
+    # knot parameters default to None, so only an option given explicitly
+    # reaches make_knots, which fills in the family's defaults.
     for p in (p_knots, p_eq1, p_conj):
         for name in ("--alpha", "--beta", "--a", "--b"):
             p.add_argument(name, type=_fraction)
@@ -342,12 +327,13 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     try:
-        parser = build_parser(_default_precision())
         try:
-            args = parser.parse_args(argv)
+            args = build_parser(None).parse_args(argv)
         except SystemExit as exc:
             # argparse already printed its diagnostic; keep 0 for --help.
             return 0 if not exc.code else 2
+        if args.precision_bits is None:
+            args.precision_bits = _default_precision()
         if args.precision_bits < MIN_PRECISION_BITS:
             raise UsageError(f"--precision-bits must be >= {MIN_PRECISION_BITS}")
         return _COMMANDS[args.subcommand](args)

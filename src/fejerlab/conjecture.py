@@ -178,10 +178,12 @@ def explore_knot_family(
     offered to rational_reconstruct with a genuine doubled-precision rebuild
     as its confirmation.  Results come in n order, off-nearest aggregate
     first, then the nearest-knot term; nothing is asserted about them beyond
-    honest confirmation flags.
+    honest confirmation flags.  n_list may not repeat an n.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError(f"n_list entries must be distinct, got {list(n_list)}")
     params = dict(params or {})
     y0_exact = y0.to_fraction()
     findings: list[Recognition] = []

@@ -17,12 +17,13 @@ s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004): one Taylor jet of the h_i
 at y0, truncated at order p_max, holds every h_i^(p)(y0) for p <= p_max
 (Griewank & Walther, Evaluating Derivatives, ch. 13), with l_i(y0 + t) =
 w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
-so nothing divides by y0 - x_i.  derivative_sums reads every requested order
-from one jet, so a caller that checks p = 1..p_max at one y0 builds one jet
-per (n, y0); nothing is stored between calls.  A basis is a pure function of
-its knot set and is cached, bounded like the knot sets, which every family
-caches too, so a caller that repeats a knot set builds the set and its basis
-once.
+so nothing divides by y0 - x_i.  There are two readouts of the jet:
+derivative_sum rounds every term of one order, and derivative_extremes
+reads every requested order from one jet, so verify-eq1, which checks
+p = 1..p_max at one y0, builds one jet per (n, y0).  Nothing is stored
+between calls.  A basis is a pure function of its knot set and is cached,
+bounded like the knot sets, which every family caches too, so a caller that
+repeats a knot set builds the set and its basis once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -343,50 +344,26 @@ def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) 
     return ApFloat._wrap(_round_sum(products, prec), prec)
 
 
-def _order_rows(basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat) -> tuple:
-    """The exact rows of orders, ascending integers >= 1, from one Taylor jet
-    at y0 truncated at max(orders).  p = 0 is rejected: there the sum of the
-    h_i is 1, not 0."""
-    orders = list(orders)
-    if not orders or orders[0] < 1 or orders != sorted(orders):
-        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
-    return _rows(basis, _jet(basis, orders[-1], y0), orders)
-
-
-def derivative_sums(
-    basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
-) -> list[tuple[ApFloat, list[ApFloat]]]:
-    """(residual, terms) for each p in orders, ascending integers >= 1, from
-    one Taylor jet at y0 truncated at max(orders).
-
-    terms_i is h_i^(p)(y0) rounded once to the knot precision; residual is
-    the exact sum of the unrounded terms, rounded once.  The sum of the h_i
-    is identically 1 for any knot set, so every p >= 1 drives the residual
-    to the terms' own error.  Each row has the same bits whichever other
-    orders share its jet.
-    """
-    prec = basis.precision_bits
-    out = []
-    for row in _order_rows(basis, orders, y0):
-        terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
-        out.append((ApFloat._wrap(_round_sum(row, prec), prec), terms))
-    return out
-
-
 def derivative_extremes(
     basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
 ) -> list[tuple[ApFloat, ApFloat]]:
-    """(residual, largest) for each p in orders: derivative_sums' residual,
-    and max_i |h_i^(p)(y0)|, each rounded once to the knot precision, with
-    no term rounded on its own.
+    """(residual, largest) for each p in orders, ascending integers >= 1,
+    from one Taylor jet at y0 truncated at max(orders): derivative_sum's
+    residual, and max_i |h_i^(p)(y0)|, each rounded once to the knot
+    precision, with no term rounded on its own.
 
-    The maximum is taken exactly, on the row's integers on one exponent.
+    Each row has the same bits whichever other orders share its jet.  The
+    maximum is taken exactly, on the row's integers on one exponent.
     Rounding to nearest is monotone and odd, so largest has the bits of
-    max_abs of derivative_sums' terms; a zero row (p > 2n-1) gives 0.
+    max_abs of derivative_sum's terms; a zero row (p > 2n-1) gives 0.
     """
+    orders = list(orders)
+    if not orders or orders[0] < 1 or orders != sorted(orders):
+        # out of order, a row could lie above the jet's truncation order
+        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
     prec = basis.precision_bits
     out = []
-    for row in _order_rows(basis, orders, y0):
+    for row in _rows(basis, _jet(basis, orders[-1], y0), orders):
         ints, low = _one_exponent(row)
         top = max(max(ints), -min(ints)) if ints else 0
         out.append((
@@ -399,10 +376,20 @@ def derivative_extremes(
 def derivative_sum(
     basis: FundamentalBasis, p: int, y0: ApFloat
 ) -> tuple[ApFloat, list[ApFloat]]:
-    """All h_i^(p)(y0) and their sum, which vanishes identically for p >= 1:
-    derivative_sums at the one order p."""
-    (result,) = derivative_sums(basis, (p,), y0)
-    return result
+    """(residual, terms) at the order p >= 1, from one Taylor jet at y0
+    truncated at p.
+
+    terms_i is h_i^(p)(y0) rounded once to the knot precision; residual is
+    the exact sum of the unrounded terms, rounded once.  The sum of the h_i
+    is identically 1 for any knot set, so every p >= 1 drives the residual
+    to the terms' own error; p = 0 is rejected.
+    """
+    if p < 1:
+        raise ValueError(f"derivative order must be >= 1, got {p}")
+    (row,) = _rows(basis, _jet(basis, p, y0), (p,))
+    prec = basis.precision_bits
+    terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
+    return ApFloat._wrap(_round_sum(row, prec), prec), terms
 
 
 def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:

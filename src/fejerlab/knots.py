@@ -24,6 +24,9 @@ precision), so one functools.lru_cache bounded at _KNOT_SET_CAP sets shares
 it between calls and threads.  The closed-form families are cached the same
 way, one lru_cache per family, so make_knots hands back the same frozen set
 for a repeated request.
+make_knots is the one place that knows the families: its table maps each tag
+in FAMILIES to its builder and to the builder's parameters with their
+defaults, and rejects a parameter of another family.
 """
 from __future__ import annotations
 
@@ -385,26 +388,32 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
     return _jacobi_knot_set(n, alpha, beta, precision_bits)
 
 
-def make_knots(
-    family: str,
-    n: int,
-    precision_bits: int,
-    alpha: Fraction | None = None,
-    beta: Fraction | None = None,
-    a: Fraction | None = None,
-    b: Fraction | None = None,
-) -> KnotSet:
-    """Dispatch on the family tag; the orthogonal families live on (-1, 1)."""
-    if family == "chebyshev1":
-        return chebyshev1_knots(n, precision_bits)
-    if family == "chebyshev2":
-        return chebyshev2_knots(n, precision_bits)
-    if family == "equispaced":
-        a = Fraction(-1) if a is None else a
-        b = Fraction(1) if b is None else b
-        return equispaced_knots(n, a, b, precision_bits)
-    if family == "gauss_jacobi":
-        if alpha is None or beta is None:
-            raise ValueError("gauss_jacobi needs alpha and beta")
-        return gauss_jacobi_knots(n, alpha, beta, precision_bits)
-    raise ValueError(f"unknown knot family {family!r}")
+#: Each family's builder and its parameters with their defaults, in the
+#: builder's positional order between n and precision_bits.
+_FAMILY_TABLE = {
+    "chebyshev1": (chebyshev1_knots, {}),
+    "chebyshev2": (chebyshev2_knots, {}),
+    "equispaced": (equispaced_knots, {"a": Fraction(-1), "b": Fraction(1)}),
+    "gauss_jacobi": (gauss_jacobi_knots, {"alpha": Fraction(0), "beta": Fraction(0)}),
+}
+
+#: The knot family tags, in the order the command line lists them.
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def make_knots(family: str, n: int, precision_bits: int, **params) -> KnotSet:
+    """The family's knot set from _FAMILY_TABLE, its defaults filling in every
+    parameter not given; a parameter passed as None counts as not given.  An
+    unknown family, or a parameter of another family, is a ValueError.
+
+    The builder is called positionally, so a request with defaults and one
+    that spells them out share one cache entry."""
+    try:
+        builder, defaults = _FAMILY_TABLE[family]
+    except KeyError:
+        raise ValueError(f"unknown knot family {family!r}") from None
+    for name, value in params.items():
+        if value is not None and name not in defaults:
+            raise ValueError(f"{name} does not apply to family {family}")
+    values = [params[k] if params.get(k) is not None else v for k, v in defaults.items()]
+    return builder(n, *values, precision_bits)

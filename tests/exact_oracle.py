@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from fejerlab.apnum import ApFloat
-from fejerlab.hermite import _jet, _rows, derivative_sums, hermite_fejer_basis
+from fejerlab.hermite import _jet, _rows, derivative_extremes, hermite_fejer_basis
 from fejerlab.knots import make_knots
 
 FAMILIES = (
@@ -125,7 +125,7 @@ def grid_errors(bits: int, ns=GRID_N):
     """Yield (family, n, worst error in ulps, exact rows, residuals) over the
     grid at one knot precision: every y0 in GRID_Y0 and p = 1..P_MAX, read
     from one jet at P_MAX as verify-eq1 reads them.  residuals holds, for
-    every row, derivative_sums' residual and the row's term errors.
+    every row, derivative_extremes' residual and the row's term errors.
     Equispaced knots start at n = 2."""
     for family, kwargs in FAMILIES:
         for n in ns:
@@ -139,7 +139,7 @@ def grid_errors(bits: int, ns=GRID_N):
                 y0 = basis.knots.points[n // 3] if y is None else ApFloat(y, bits)
                 rows = _rows(basis, _jet(basis, P_MAX, y0), orders)
                 exact.append(exact_rows(basis.knots.points, y0, P_MAX))
-                for p, row, (residual, _) in zip(orders, rows, derivative_sums(basis, orders, y0)):
+                for p, row, (residual, _) in zip(orders, rows, derivative_extremes(basis, orders, y0)):
                     errors = term_errors(row, exact[-1][p])
                     worst = max(worst, error_ulps(errors, exact[-1][p], wp))
                     residuals.append((residual, errors))

@@ -343,6 +343,17 @@ class TestConfig:
         )
         assert json_lines(out)[0]["precision_bits"] == 192
 
+    @pytest.mark.parametrize("raw", ["abc", ""])
+    def test_malformed_env_var_is_read_only_without_the_flag(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(cli.PRECISION_ENV_VAR, raw)
+        assert run(capsys, "--help")[0] == 0
+        code, out, _ = run(capsys, "verify-identity", "--n", "3", "--precision-bits", "256")
+        assert code == 0 and json_lines(out)[0]["holds"] is True
+        code, out, err = run(capsys, "verify-identity", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_precision_floor(self, capsys):
         code, _, err = run(
             capsys, "knots", "--family", "chebyshev1", "--n", "2", "--precision-bits", "32"
@@ -377,35 +388,19 @@ class TestConfig:
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("knots_gauss_jacobi_n9",
-         "knots --family gauss_jacobi --n 9 --alpha 1/3 --beta 1/5"),
-        ("knots_gauss_jacobi_n6_512",
-         "knots --family gauss_jacobi --n 6 --alpha=-1/2 --beta 2 --precision-bits 512"),
-        ("knots_gauss_jacobi_legendre_n7",
-         "knots --family gauss_jacobi --n 7 --alpha 0 --beta 0"),
-        ("knots_chebyshev2_n6", "knots --family chebyshev2 --n 6"),
-        ("verify_eq1_gauss_jacobi",
-         "verify-eq1 --family gauss_jacobi --alpha 1/3 --beta 1/5 --n-max 6 --p-max 3"
-         " --y0 0 --y0 3/10"),
-        ("verify_eq1_equispaced_512",
-         "verify-eq1 --family equispaced --n-max 5 --p-max 10 --y0 0 --y0 1/2 --y0=-5/4"
-         " --precision-bits 512"),
-        ("verify_eq1_chebyshev2_n47_512",
-         "verify-eq1 --family chebyshev2 --n 47 --p-max 8 --y0 0 --y0 3/10 --y0=-9/10"
-         " --y0 5/4 --precision-bits 512"),
-        ("conjecture_gauss_jacobi", "conjecture --family gauss_jacobi --p 2 --n-list 3,5"),
-        ("conjecture_gauss_jacobi_gegenbauer_512",
-         "conjecture --family gauss_jacobi --alpha 1/2 --beta 1/2 --p 2 --y0 0"
-         " --n-list 3,5,7,9,11 --precision-bits 512"),
-        ("verify_identity_n201", "verify-identity --n-max 201"),
-        ("power_sum_m3_n61", "power-sum --m 3 --n-max 61"),
-        ("power_sum_m8_n3", "power-sum --m 8 --n 3"),
-        ("conjecture_power_m2", "conjecture --m 2 --train 3,5,7,9,11 --holdout 13,15"),
-    ],
-)
+#: One line per golden file: its name, then the fejerlab argv that writes
+#: it.  The CI workflow diffs the console script against the same list.
+GOLDEN_COMMANDS = [
+    tuple(line.split(maxsplit=1)) for line in (GOLDEN / "commands.txt").read_text().splitlines()
+]
+
+
+def test_every_golden_file_has_one_command():
+    names = [name for name, _ in GOLDEN_COMMANDS]
+    assert sorted(names) == sorted(path.stem for path in GOLDEN.glob("*.jsonl"))
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_COMMANDS)
 def test_stdout_matches_golden_file(name, argv, capsys, monkeypatch):
     # the files pin the knot solve, the basis, explore's 512-bit rebuild and
     # the exact layer's rationals to the bits they had when they were written

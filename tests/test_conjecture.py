@@ -220,6 +220,11 @@ class TestExploreKnotFamily:
         with pytest.raises(ValueError):
             explore_knot_family("chebyshev1", None, 0, ApFloat(0, 192), [3], 192)
 
+    def test_repeated_n_rejected(self):
+        # it would return the findings of n = 3 twice
+        with pytest.raises(ValueError):
+            explore_knot_family("chebyshev1", {}, 2, ApFloat(0, 192), [3, 3], 192)
+
     def test_each_precision_builds_one_basis_per_n(self, monkeypatch):
         builds = Counter()
         original = conj_mod.hermite_fejer_basis

@@ -1,6 +1,6 @@
 """The terms h_i^(p)(y0) of the integer kernel against the exact dyadic oracle
 (tests/exact_oracle.py), in ulps of the working precision at the data scale,
-and the residuals of derivative_sums against the terms' exact errors."""
+and the residuals of derivative_extremes against the terms' exact errors."""
 from fractions import Fraction
 
 import pytest

@@ -6,15 +6,17 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import from_man_exp, round_nearest
 
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, NumPoly, max_abs, to_apfloat
 from fejerlab.hermite import (
     LengthMismatch,
+    _jet,
+    _rows,
     chebyshev_closed_form,
     derivative_extremes,
     derivative_sum,
-    derivative_sums,
     hermite_fejer_basis,
     interpolate,
     lagrange_basis,
@@ -276,13 +278,6 @@ class TestDerivativeSum:
         with pytest.raises(ValueError):
             derivative_sum(basis, 0, ApFloat(0, BITS))
 
-    @pytest.mark.parametrize("orders", [[], [0, 1], [2, 1]])
-    def test_orders_must_ascend_from_one(self, orders):
-        # out of order, a row could lie above the jet's truncation order
-        basis = hermite_fejer_basis(chebyshev1_knots(3, BITS))
-        with pytest.raises(ValueError):
-            derivative_sums(basis, orders, ApFloat(0, BITS))
-
     @pytest.mark.parametrize(
         "family,kwargs",
         [
@@ -330,12 +325,12 @@ class TestDerivativeSum:
     def test_lower_orders_read_from_one_jet_are_bit_identical(self, family, kwargs, n):
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
         for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
-            rows = derivative_sums(basis, range(1, 2 * n + 2), y0)
+            rows = derivative_extremes(basis, range(1, 2 * n + 2), y0)
             assert len(rows) == 2 * n + 1
-            for p, (r, t) in enumerate(rows, 1):
+            for p, (r, largest) in enumerate(rows, 1):
                 fr, ft = derivative_sum(basis, p, y0)
                 assert r.raw == fr.raw, (p, y0)
-                assert [x.raw for x in t] == [x.raw for x in ft], (p, y0)
+                assert largest.raw == max_abs(ft).raw, (p, y0)
 
     def test_shared_basis_under_threads_matches_serial(self):
         # threads share one basis across mixed (p, y0); every result must
@@ -436,9 +431,15 @@ EXTREME_FAMILIES = [
 ]
 
 
+def _rounded(v, e, bits):
+    """V 2^e rounded once to bits."""
+    return ApFloat._wrap(from_man_exp(v, e, bits, round_nearest), bits)
+
+
 class TestDerivativeExtremes:
     """derivative_extremes rounds two numbers per row; they must have the bits
-    of derivative_sums' residual and of max_abs over its rounded terms."""
+    of the exact row sum rounded once and of max_abs over the row's terms,
+    each rounded once."""
 
     @pytest.mark.parametrize("bits", [64, 256, 512])
     @pytest.mark.parametrize(
@@ -454,11 +455,14 @@ class TestDerivativeExtremes:
         basis = hermite_fejer_basis(make_knots(family, n, bits, **kwargs))
         orders = range(1, 2 * n + 2)  # p = 2n and 2n + 1 are zero rows
         for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), bits), to_apfloat(F(-5, 4), bits)):
-            sums = derivative_sums(basis, orders, y0)
+            # one jet for every order, not a derivative_sum jet per order
+            rows = _rows(basis, _jet(basis, 2 * n + 1, y0), orders)
             extremes = derivative_extremes(basis, orders, y0)
-            assert len(extremes) == len(sums) == 2 * n + 1
-            for p, ((residual, terms), (r, largest)) in enumerate(zip(sums, extremes), 1):
-                assert r.raw == residual.raw, (p, y0)
+            assert len(extremes) == len(rows) == 2 * n + 1
+            for p, (row, (r, largest)) in enumerate(zip(rows, extremes), 1):
+                terms = [_rounded(v, e, bits) for v, e in row]
+                low = min(e for _, e in row)  # the exact sum on one exponent
+                assert r.raw == _rounded(sum(v << (e - low) for v, e in row), low, bits).raw, (p, y0)
                 assert largest.raw == max_abs(terms).raw, (p, y0)
                 assert largest.precision_bits == bits
                 assert scaled_tolerance([largest], bits) == scaled_tolerance(terms, bits)

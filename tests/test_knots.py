@@ -534,9 +534,31 @@ class TestMakeKnots:
         with pytest.raises(ValueError):
             make_knots("legendre_lobatto", 3, BITS)
 
-    def test_gauss_jacobi_needs_parameters(self):
-        with pytest.raises(ValueError):
-            make_knots("gauss_jacobi", 3, BITS)
+    def test_gauss_jacobi_defaults_to_legendre(self):
+        legendre = make_knots("gauss_jacobi", 3, BITS)
+        assert legendre is make_knots("gauss_jacobi", 3, BITS, alpha=F(0), beta=F(0))
+        assert legendre is gauss_jacobi_knots(3, F(0), F(0), BITS)
+        assert legendre is make_knots("gauss_jacobi", 3, BITS, alpha=None, beta=None)
+
+    @pytest.mark.parametrize(
+        "family, foreign",
+        [
+            (family, name)
+            for family, own in [
+                ("chebyshev1", ()),
+                ("chebyshev2", ()),
+                ("equispaced", ("a", "b")),
+                ("gauss_jacobi", ("alpha", "beta")),
+            ]
+            for name in ("alpha", "beta", "a", "b")
+            if name not in own
+        ],
+    )
+    def test_parameter_of_another_family_rejected(self, family, foreign):
+        with pytest.raises(ValueError, match=f"^{foreign} "):
+            make_knots(family, 3, BITS, **{foreign: F(1, 2)})
+        # None counts as not given
+        assert make_knots(family, 3, BITS, **{foreign: None}) is make_knots(family, 3, BITS)
 
 
 CLOSED_FORM_FAMILIES = [
