@@ -69,9 +69,12 @@ def _default_precision() -> int:
     if raw is None:
         return 256
     try:
-        return int(raw)
+        bits = int(raw)
     except ValueError:
         raise UsageError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
+    if bits < MIN_PRECISION_BITS:
+        raise UsageError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION_BITS}, got {raw!r}")
+    return bits
 
 
 def _emit(obj: dict, mode: str, text: str) -> None:
@@ -217,6 +220,8 @@ def _conjecture_explore(args) -> int:
     if args.y0 and len(args.y0) > 1:
         raise UsageError("explore mode takes at most one --y0")
     y0 = args.y0[0] if args.y0 else Fraction(0)
+    # explore_knot_family owns the default; pass the bound only when given
+    given = {} if args.max_denominator is None else {"max_denominator": args.max_denominator}
     findings = conj.explore_knot_family(
         args.family,
         _knot_params(args),
@@ -224,7 +229,7 @@ def _conjecture_explore(args) -> int:
         ApFloat(y0, args.precision_bits),
         args.n_list,
         args.precision_bits,
-        max_denominator=10 ** 6 if args.max_denominator is None else args.max_denominator,
+        **given,
     )
     parts = ("offcenter_aggregate", "nearest_knot_term")
     for idx, rec in enumerate(findings):
@@ -334,7 +339,7 @@ def _run(argv) -> int:
             return 0 if not exc.code else 2
         if args.precision_bits is None:
             args.precision_bits = _default_precision()
-        if args.precision_bits < MIN_PRECISION_BITS:
+        elif args.precision_bits < MIN_PRECISION_BITS:
             raise UsageError(f"--precision-bits must be >= {MIN_PRECISION_BITS}")
         return _COMMANDS[args.subcommand](args)
     except (ConvergenceFailure, KnotSpacingError) as exc:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .apnum import ApFloat
+from .apnum import ApFloat, _common_scale
 from .hermite import derivative_sum, hermite_fejer_basis
 from .identities import inverse_power_sum
-from .knots import make_knots
+from .knots import KnotSet, make_knots
 from .ratpoly import RatPoly, rational_interpolate
 
 
@@ -141,6 +141,15 @@ def rational_reconstruct(
     return Recognition(input=x, candidate=candidate, confirmed_at_bits=confirm_bits)
 
 
+def _nearest_knot(knots: KnotSet, y0: ApFloat) -> int:
+    """Index of the knot nearest y0, the lowest one on a tie.  The distances
+    are compared exactly, on the knots and y0 as integers over one power of
+    two, so no rounding can merge two of them."""
+    xs, _ = _common_scale([x.raw for x in knots.points] + [y0.raw])
+    y = xs.pop()
+    return min(range(len(xs)), key=lambda i: abs(xs[i] - y))
+
+
 def _aggregate_terms(
     family: str,
     params: dict,
@@ -154,7 +163,7 @@ def _aggregate_terms(
     basis = hermite_fejer_basis(knots)
     y0 = ApFloat(y0_exact, precision_bits)
     _, terms = derivative_sum(basis, p, y0)
-    nearest = min(range(n), key=lambda i: abs(knots.points[i] - y0))
+    nearest = _nearest_knot(knots, y0)
     rest = ApFloat(0, precision_bits)
     for i, t in enumerate(terms):
         if i != nearest:

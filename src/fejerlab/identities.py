@@ -81,7 +81,8 @@ def inverse_power_sum(n: int, m: int) -> Fraction:
     k = min(m, (n - 1) // 2)
     # the reversal of c_1 + c_3 y + ... + c_(2k+1) y^k has degree k and its
     # coefficients from the top are the walk's c_1, c_3, ..., c_(2k+1)
-    return _integer_power_sums(_chebyshev_walk(n, 2 * k + 1), m)[m - 1]
+    walk = _chebyshev_walk(n, 2 * k + 1)
+    return Fraction(_integer_power_sums(walk, m)[m - 1], walk[0] ** m)
 
 
 def verify_cosecant_sum(n: int) -> IdentityReport:

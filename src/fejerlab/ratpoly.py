@@ -5,6 +5,11 @@ canonical form (positive denominator, gcd-reduced).  A polynomial is a dense
 tuple of coefficients, constant term first; the zero polynomial is the empty
 tuple and has degree -1 by convention.  Everything here is exact: no epsilon
 appears anywhere in this module.
+
+The loops that evaluate, interpolate and form power sums run on Python
+integers over common denominators, and one Fraction is built per returned
+value; a Fraction reduces by a gcd after every operation, which is where
+the time of an exact loop on Fractions goes.
 """
 from __future__ import annotations
 
@@ -101,12 +106,22 @@ class RatPoly:
     __rmul__ = __mul__
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation; returns 0 for the zero polynomial."""
+        """Exact Horner evaluation; returns 0 for the zero polynomial.
+
+        With x = u/v and D the common denominator of the coefficients, the
+        Horner loop runs on the integers D c_k and returns the one Fraction
+        (sum_k D c_k u^k v^(d-k)) / (D v^d), d the degree.
+        """
         x = _as_fraction(x)
-        acc = Fraction(0)
+        if not self.coeffs:
+            return Fraction(0)
+        u, v = x.numerator, x.denominator
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        acc, v_power = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * u + c.numerator * (den // c.denominator) * v_power
+            v_power *= v
+        return Fraction(acc, den * v**self.degree)
 
     def derivative(self, p: int = 1) -> RatPoly:
         """Exact p-th derivative via coefficient shifting.
@@ -223,7 +238,7 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
         P_k = -sum_{i=1}^{min(k-1,d)} b_i lead^(i-1) P_{k-i}
               - (k <= d) k b_k lead^(k-1),
 
-    and one Fraction is built per output at the end (`_integer_power_sums`).
+    and one Fraction P_k / lead^k is built per output at the end.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -232,11 +247,13 @@ def newton_power_sums(a: RatPoly, m_max: int) -> list[Fraction]:
         raise ValueError("need a nonzero polynomial of degree >= 1")
     top = a.coeffs[d - min(m_max, d) :][::-1]
     scale = math.lcm(*(c.denominator for c in top))
-    return _integer_power_sums([c.numerator * (scale // c.denominator) for c in top], m_max)
+    b = [c.numerator * (scale // c.denominator) for c in top]
+    return [Fraction(P_k, b[0] ** k) for k, P_k in enumerate(_integer_power_sums(b, m_max), 1)]
 
 
-def _integer_power_sums(b: list[int], m_max: int) -> list[Fraction]:
-    """p_1..p_{m_max} of the roots of a polynomial of degree d from its top
+def _integer_power_sums(b: list[int], m_max: int) -> list[int]:
+    """The integers P_k = b_0^k p_k, k = 1..m_max, where p_k are the power
+    sums of the roots of a polynomial of degree d given by its top
     min(m_max, d) + 1 coefficients b_0, b_1, ..., integers with b_0 != 0
     (see `newton_power_sums`).  Since those are all that p_1..p_{m_max}
     read, len(b) - 1 stands in for d."""
@@ -250,14 +267,22 @@ def _integer_power_sums(b: list[int], m_max: int) -> list[Fraction]:
         if k <= d:
             acc += k * q[k]
         P.append(-acc)
-    return [Fraction(P[k], lead**k) for k in range(1, m_max + 1)]
+    return P[1:]
 
 
 def rational_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> RatPoly:
     """Exact interpolating polynomial of degree < len(points).
 
-    Newton's divided differences over the rationals; raises DuplicateAbscissa
-    when two abscissae coincide.
+    Raises DuplicateAbscissa when two abscissae coincide.  The work is done
+    on integers, fraction-free in the manner of Bareiss (Math. Comp. 22,
+    1968): with t = s x and s, r the lcm of the denominators of the abscissae
+    and of the ordinates, the integer values r y_i are interpolated at the
+    integer nodes t_i.  Newton's divided differences keep each column as
+    integer numerators over one common denominator, which takes the lcm of
+    the column's node gaps and is gcd-reduced once per column.  The Newton
+    form goes to monomial coefficients by nested multiplication on integers
+    over the lcm of those denominators, and coefficient k of the result is
+    one Fraction, that integer times s^k over the denominator times r.
     """
     xs = [_as_fraction(x) for x, _ in points]
     ys = [_as_fraction(y) for _, y in points]
@@ -265,15 +290,33 @@ def rational_interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]
         raise DuplicateAbscissa("abscissae must be pairwise distinct")
     if not xs:
         return RatPoly()
-    dd = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    # Newton form by nested multiplication, from the top coefficient down.
-    poly = RatPoly()
-    for x, c in zip(reversed(xs), reversed(dd)):
-        poly = poly * RatPoly([-x, 1]) + RatPoly([c])
-    return poly
+    s = math.lcm(*(x.denominator for x in xs))
+    r = math.lcm(*(y.denominator for y in ys))
+    ts = [x.numerator * (s // x.denominator) for x in xs]
+    column = [y.numerator * (r // y.denominator) for y in ys]
+    den = 1
+    newton = [(column[0], den)]
+    for j in range(1, len(ts)):
+        # column j holds entries j.., its entry i from entries i-1, i of column j-1
+        gaps = [ts[i] - ts[i - j] for i in range(j, len(ts))]
+        step = math.lcm(*gaps)
+        column = [(hi - lo) * (step // gap) for lo, hi, gap in zip(column, column[1:], gaps)]
+        den *= step
+        g = math.gcd(den, *column)
+        column = [c // g for c in column]
+        den //= g
+        newton.append((column[0], den))
+    # acc <- acc * (t - t_j) + c_j from the top coefficient down, over `common`
+    common = math.lcm(*(d for _, d in newton))
+    acc: list[int] = []
+    for t, (num, d) in zip(reversed(ts), reversed(newton)):
+        acc = [shifted - t * c for shifted, c in zip([0] + acc, acc + [0])]
+        acc[0] += num * (common // d)
+    out, s_power = [], 1
+    for c in acc:
+        out.append(Fraction(c * s_power, common * r))
+        s_power *= s
+    return RatPoly(out)
 
 
 def format_rational(q: Fraction) -> str:

@@ -4,7 +4,9 @@ jacobi_eval runs the three-term recurrence for (P_n, P_n') in libmp, one
 rounding per operation.  It shares only the integer step coefficients with
 the root solver in fejerlab.knots, which evaluates in fixed point and reads
 P_n' from an identity, so it serves as the solver's oracle.  pow2 writes
-tolerances as exact powers of two.
+tolerances as exact powers of two.  rational_interpolate is Newton's divided
+differences on Fraction values, reduced after every operation; the library's
+integer version must return the same polynomial.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from mpmath.libmp import (
 
 from fejerlab.apnum import _RND, ApFloat
 from fejerlab.knots import _check_jacobi_params, _integer_steps
+from fejerlab.ratpoly import DuplicateAbscissa, RatPoly, _as_fraction
 
 
 def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[ApFloat, ApFloat]:
@@ -51,7 +54,29 @@ def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[Ap
     return ApFloat(value, wp), ApFloat(deriv, wp)
 
 
-
 def pow2(k: int, precision_bits: int) -> ApFloat:
     """The exact power 2^k as an ApFloat (used for tolerances)."""
     return ApFloat(mpf_shift(from_int(1), k), precision_bits)
+
+
+def rational_interpolate(points) -> RatPoly:
+    """Exact interpolating polynomial of degree < len(points).
+
+    Newton's divided differences over the rationals; raises DuplicateAbscissa
+    when two abscissae coincide.
+    """
+    xs = [_as_fraction(x) for x, _ in points]
+    ys = [_as_fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa("abscissae must be pairwise distinct")
+    if not xs:
+        return RatPoly()
+    dd = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    # Newton form by nested multiplication, from the top coefficient down.
+    poly = RatPoly()
+    for x, c in zip(reversed(xs), reversed(dd)):
+        poly = poly * RatPoly([-x, 1]) + RatPoly([c])
+    return poly

@@ -1,6 +1,7 @@
 """Command-line contract: JSON schemas, exit codes, determinism, precision
 plumbing."""
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fejerlab.cli as cli
+import fejerlab.conjecture as conj
 import fejerlab.hermite as hermite_mod
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat
@@ -258,6 +260,18 @@ class TestConjectureCommand:
         assert rows[0]["candidate"] == "16/3"
         assert rows[1]["candidate"] == "-16/3"
 
+    def test_explore_mode_max_denominator_default_has_one_owner(self, capsys):
+        argv = ("conjecture", "--family", "chebyshev1", "--p", "2", "--y0", "0",
+                "--n-list", "3", "--precision-bits", "128")
+        default = inspect.signature(conj.explore_knot_family).parameters["max_denominator"].default
+        code, implicit, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--max-denominator", str(default)) == (0, implicit, "")
+        # a bound below 3 rules out both candidates, 16/3 and -16/3
+        code, out, _ = run(capsys, *argv, "--max-denominator", "2")
+        assert code == 0
+        assert [r["candidate"] for r in json_lines(out)] == [None, None]
+
     def test_explore_mode_rejects_a_repeated_n(self, capsys):
         code, out, err = run(
             capsys, "conjecture", "--family", "equispaced", "--p", "2", "--n-list", "3,3",
@@ -359,6 +373,18 @@ class TestConfig:
             capsys, "knots", "--family", "chebyshev1", "--n", "2", "--precision-bits", "32"
         )
         assert code == 2 and "precision" in err
+
+    def test_precision_floor_names_its_source(self, capsys, monkeypatch):
+        # the flag is named when it was given, the variable and its value otherwise
+        monkeypatch.setenv(cli.PRECISION_ENV_VAR, "32")
+        code, out, err = run(capsys, "verify-identity", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {cli.PRECISION_ENV_VAR} must be >= 64, got '32'\n"
+        code, out, err = run(capsys, "verify-identity", "--n", "3", "--precision-bits", "48")
+        assert code == 2 and out == ""
+        assert err == "error: --precision-bits must be >= 64\n"
+        code, out, _ = run(capsys, "verify-identity", "--n", "3", "--precision-bits", "64")
+        assert code == 0 and json_lines(out)[0]["holds"] is True
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

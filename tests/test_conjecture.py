@@ -13,11 +13,13 @@ from fejerlab.apnum import ApFloat, pi, to_apfloat
 from fejerlab.conjecture import (
     InsufficientTrainingPoints,
     _convergents,
+    _nearest_knot,
     conjecture_power_formula,
     explore_knot_family,
     rational_reconstruct,
 )
 from fejerlab.identities import inverse_power_sum, second_derivative_balance
+from fejerlab.knots import KnotSet, make_knots
 from fejerlab.ratpoly import RatPoly
 
 
@@ -238,3 +240,26 @@ class TestExploreKnotFamily:
         findings = explore_knot_family("gauss_jacobi", legendre, 2, ApFloat(0, 256), [3, 5], 256)
         assert all(rec.confirmed_at_bits == 512 for rec in findings)
         assert builds == {256: 2, 512: 2}
+
+
+class TestNearestKnot:
+    def test_a_near_tie_goes_to_the_truly_nearer_knot(self):
+        # |-1 - y0| = 1 + 2^-70 and |1 - y0| = 1 - 2^-70 both round to 1 at
+        # 64 bits, which would tie them to index 0
+        knots = KnotSet("equispaced", 2, (ApFloat(-1, 64), ApFloat(1, 64)), 64)
+        y0 = ApFloat(F(1, 2**70), 64)
+        assert abs(knots.points[0] - y0) == abs(knots.points[1] - y0)
+        assert _nearest_knot(knots, y0) == 1
+        assert _nearest_knot(knots, -y0) == 0
+
+    def test_an_exact_tie_goes_to_the_lowest_index(self):
+        knots = KnotSet("equispaced", 2, (ApFloat(-1, 64), ApFloat(1, 64)), 64)
+        assert _nearest_knot(knots, ApFloat(0, 64)) == 0
+
+    @pytest.mark.parametrize("family", ["chebyshev1", "chebyshev2", "equispaced"])
+    @pytest.mark.parametrize("y0", [F(0), F(3, 10), F(-9, 10), F(5, 4), F(-2, 7)])
+    def test_matches_the_exact_fraction_distances(self, family, y0):
+        knots = make_knots(family, 9, 128)
+        y = ApFloat(y0, 128)
+        exact = [abs(x.to_fraction() - y.to_fraction()) for x in knots.points]
+        assert _nearest_knot(knots, y) == exact.index(min(exact))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fejerlab.apnum import ApFloat, NumPoly, cos, pi
+from fejerlab.identities import inverse_power_sum
 from fejerlab.ratpoly import (
     DuplicateAbscissa,
     NotOdd,
@@ -20,11 +21,19 @@ from fejerlab.ratpoly import (
     rational_interpolate,
 )
 from reference import pow2
+from reference import rational_interpolate as fraction_interpolate
 
 T3 = RatPoly([0, -3, 0, 4])
 
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+#: Large primes, so that values drawn over them have coprime denominators.
+LARGE_PRIMES = [1000003, 998244353, 10**9 + 7, 2**61 - 1, 2**89 - 1]
+ordinates = st.one_of(
+    small_fractions,
+    st.builds(F, st.integers(min_value=-(10**30), max_value=10**30), st.sampled_from(LARGE_PRIMES)),
+)
 
 
 def polys(max_degree=5, allow_zero=True):
@@ -82,6 +91,13 @@ class TestDerivative:
         assert T3.derivative(4).is_zero()
 
 
+def horner_by_fractions(p, x):
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestEval:
     def test_endpoint(self):
         assert T3.evaluate(1) == 1
@@ -92,6 +108,20 @@ class TestEval:
 
     def test_zero_poly(self):
         assert RatPoly().evaluate(F(7, 3)) == 0
+
+    @given(polys(max_degree=9), st.integers(min_value=-10**6, max_value=10**6))
+    def test_integer_point(self, p, x):
+        value = p.evaluate(x)
+        assert type(value) is F and value == horner_by_fractions(p, x)
+
+    @given(polys(max_degree=9), ordinates)
+    def test_fraction_point(self, p, x):
+        value = p.evaluate(x)
+        assert type(value) is F and value == horner_by_fractions(p, x)
+
+    @given(st.lists(ordinates, max_size=8).map(RatPoly), ordinates)
+    def test_large_coprime_denominators(self, p, x):
+        assert p.evaluate(x) == horner_by_fractions(p, x)
 
 
 def chebyshev_by_recurrence(n_max):
@@ -306,6 +336,39 @@ class TestRationalInterpolate:
         p = RatPoly([F(1, 3), -2, F(5, 7)])
         points = [(F(k), p.evaluate(F(k))) for k in range(7)]
         assert rational_interpolate(points) == p
+
+    def test_no_points_give_the_zero_polynomial(self):
+        assert rational_interpolate([]) == RatPoly()
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(F(2, 4), 1), (F(1, 2), 2)],
+            [(3, F(1, 3)), (F(-1, 7), 0), (F(6, 2), 5)],
+            [(0, 1), (F(0, 5), 1)],
+        ],
+    )
+    def test_equal_abscissae_in_different_spellings(self, points):
+        with pytest.raises(DuplicateAbscissa):
+            rational_interpolate(points)
+        with pytest.raises(DuplicateAbscissa):
+            fraction_interpolate(points)
+
+    @given(
+        st.lists(
+            st.tuples(st.fractions(min_value=-40, max_value=40, max_denominator=12), ordinates),
+            max_size=14,
+            unique_by=lambda point: point[0],
+        )
+    )
+    def test_matches_the_fraction_divided_differences(self, points):
+        # negative, unsorted, non-integer abscissae; large coprime denominators
+        assert rational_interpolate(points) == fraction_interpolate(points)
+
+    def test_power_sum_fit_matches_the_fraction_divided_differences(self):
+        for m in (1, 4, 9, 12):
+            points = [(n, inverse_power_sum(n, m)) for n in range(3, 4 * m + 6, 2)]
+            assert rational_interpolate(points) == fraction_interpolate(points)
 
 
 def test_format_rational():
