@@ -22,7 +22,6 @@ from .hermite import (
     derivative_sum,
     hermite_fejer_basis,
     interpolate,
-    lagrange_basis,
     scaled_tolerance,
 )
 from .identities import (
@@ -90,7 +89,6 @@ __all__ = [
     "hermite_fejer_basis",
     "interpolate",
     "inverse_power_sum",
-    "lagrange_basis",
     "make_knots",
     "midpoint_second_derivative",
     "newton_power_sums",

@@ -2,14 +2,14 @@
 
 Every value carries its working precision in bits (mantissa width, >= 64);
 arithmetic between two values runs at the larger of their precisions, with
-round-to-nearest-even.  ApFloat and NumPoly call mpmath's low-level libmp
-kernels (on gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND),
-bypassing the global mpmath context: precision is per-value, never shared.
-_RND is the one rounding mode of the package.
+round-to-nearest-even.  ApFloat calls mpmath's low-level libmp kernels (on
+gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND), bypassing
+the global mpmath context: precision is per-value, never shared.  _RND is the
+one rounding mode of the package.  NumPoly holds rounded dense coefficients.
 
-The hot loops of the Hermite-Fejer basis and jet do not use them: libmp
-normalises after every operation, which costs several times the mantissa
-product.  They run on the integer block kernel below instead: exact
+The Hermite-Fejer basis, its jet and its dense coefficients do not run on
+them: libmp normalises after every operation, which costs several times the
+mantissa product.  They run on the integer block kernel below instead: exact
 (int, exponent) views of raw values, a common integer scale for a set of
 values, and _renorm, which rounds a block of ints sharing one exponent once.
 
@@ -21,7 +21,6 @@ polynomial layer for those.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,7 +37,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_hash,
     mpf_mul,
-    mpf_mul_int,
     mpf_neg,
     mpf_pi,
     mpf_pos,
@@ -291,10 +289,11 @@ def sqrt(x: ApFloat) -> ApFloat:
 class NumPoly:
     """Dense polynomial with ApFloat coefficients sharing one precision.
 
-    The numeric mirror of RatPoly: add, multiply, differentiate by exact
-    coefficient shifting, and evaluate by Horner's rule, all at the carried
-    precision.  Exact-zero leading coefficients are trimmed; nothing is ever
-    trimmed by threshold.
+    The container FundamentalBasis.h returns: coefficients, degree, and the
+    coefficient-wise + and - that compare two constructions, at the carried
+    precision.  No fejerlab code multiplies or evaluates one; the product and
+    Horner evaluation stay as numeric references for the tests.  Exact-zero
+    leading coefficients are trimmed; nothing is ever trimmed by threshold.
     """
 
     __slots__ = ("_raw", "precision_bits")
@@ -358,7 +357,7 @@ class NumPoly:
             out.append(mpf_sub(a, b, prec, _RND))
         return NumPoly(out, prec)
 
-    def __mul__(self, other: "NumPoly") -> "NumPoly":
+    def __mul__(self, other: "NumPoly") -> "NumPoly":  # (bench/tracing.py patches this name)
         prec = self._unify(other)
         a, b = self._raw, other._raw
         if not a or not b:
@@ -371,34 +370,7 @@ class NumPoly:
                 out[i + j] = mpf_add(out[i + j], mpf_mul(ca, cb, prec, _RND), prec, _RND)
         return NumPoly(out, prec)
 
-    def scale(self, c) -> "NumPoly":
-        prec = self.precision_bits
-        if isinstance(c, int):
-            return NumPoly([mpf_mul_int(x, c, prec, _RND) for x in self._raw], prec)
-        c = ApFloat(c, prec) if not isinstance(c, ApFloat) else c
-        prec = max(prec, c.precision_bits)
-        return NumPoly([mpf_mul(x, c.raw, prec, _RND) for x in self._raw], prec)
-
-    def derivative(self, p: int = 1) -> "NumPoly":
-        """p-th derivative: coefficient k becomes coeff_{k+p} * (k+p)!/k!.
-
-        The factorial ratio is an exact integer, so one rounding per
-        coefficient.
-        """
-        if p < 0:
-            raise ValueError("derivative order must be >= 0")
-        if p == 0:
-            return self
-        if p > self.degree:
-            return NumPoly([], self.precision_bits)
-        prec = self.precision_bits
-        out = [
-            mpf_mul_int(self._raw[k + p], math.perm(k + p, p), prec, _RND)
-            for k in range(len(self._raw) - p)
-        ]
-        return NumPoly(out, prec)
-
-    def evaluate(self, x: ApFloat) -> ApFloat:
+    def evaluate(self, x: ApFloat) -> ApFloat:  # (bench/tracing.py patches this name)
         prec = max(self.precision_bits, x.precision_bits)
         acc = fzero
         for c in reversed(self._raw):

@@ -77,11 +77,13 @@ def _default_precision() -> int:
     return bits
 
 
-def _emit(obj: dict, mode: str, text: str) -> None:
+def _emit(obj: dict, mode: str, text) -> None:
+    """Print obj as JSON, or the line text() builds in text mode: a line is
+    formatted only for the mode that prints it."""
     if mode == "json":
         print(json.dumps(obj))
     else:
-        print(text)
+        print(text())
 
 
 def _reject_given(args, names, where: str) -> None:
@@ -119,7 +121,7 @@ def _cmd_knots(args) -> int:
         "precision_bits": knots.precision_bits,
         "points": [str(x) for x in knots.points],
     }
-    _emit(obj, args.output, f"{knots.family} n={knots.n}: " + " ".join(obj["points"]))
+    _emit(obj, args.output, lambda: f"{knots.family} n={knots.n}: " + " ".join(obj["points"]))
     return 0
 
 
@@ -153,7 +155,7 @@ def _cmd_verify_eq1(args) -> int:
                 _emit(
                     obj,
                     args.output,
-                    f"{'ok  ' if ok else 'FAIL'} {args.family} n={n} p={p} y0={y0}: "
+                    lambda: f"{'ok  ' if ok else 'FAIL'} {args.family} n={n} p={p} y0={y0}: "
                     f"|residual| {abs(residual)} vs tolerance {tolerance}",
                 )
     return 0 if all_pass else 1
@@ -173,7 +175,7 @@ def _cmd_verify_identity(args) -> int:
         _emit(
             obj,
             args.output,
-            f"{'ok  ' if report.holds else 'FAIL'} n={n}: {obj['lhs']} vs {obj['rhs']}",
+            lambda: f"{'ok  ' if report.holds else 'FAIL'} n={n}: {obj['lhs']} vs {obj['rhs']}",
         )
     return 0 if all_hold else 1
 
@@ -182,7 +184,7 @@ def _cmd_power_sum(args) -> int:
     for n in _n_values(args, odd=True):
         value = inverse_power_sum(n, args.m)
         obj = {"n": n, "m": args.m, "value": format_rational(value)}
-        _emit(obj, args.output, f"PS({args.m},{n}) = {obj['value']}")
+        _emit(obj, args.output, lambda: f"PS({args.m},{n}) = {obj['value']}")
     return 0
 
 
@@ -205,11 +207,8 @@ def _conjecture_formula(args) -> int:
         "formula": [format_rational(c) for c in report.formula.coeffs],
         "confirmed": report.confirmed,
     }
-    _emit(
-        obj,
-        args.output,
-        f"{'confirmed' if report.confirmed else 'REFUTED'} m={report.m}: {report.formula!r}",
-    )
+    verdict = "confirmed" if report.confirmed else "REFUTED"
+    _emit(obj, args.output, lambda: f"{verdict} m={report.m}: {report.formula!r}")
     return 0 if report.confirmed else 1
 
 
@@ -248,7 +247,7 @@ def _conjecture_explore(args) -> int:
         _emit(
             obj,
             args.output,
-            f"n={n} {obj['part']}: {obj['value']} ~ {obj['candidate']}",
+            lambda: f"n={n} {obj['part']}: {obj['value']} ~ {obj['candidate']}",
         )
     return 0
 

@@ -10,20 +10,23 @@ and on Chebyshev knots of the first kind there is the closed form
 
     h_i(x) = (1/n^2) [T_n(x) / (x - x_i)]^2 (1 - x x_i).
 
-Both constructions are provided as dense coefficients, built on request as
-the reference the tests compare against; they must agree.  Evaluation needs
-only the barycentric weights w_i = 1 / prod_{j!=i} (x_i - x_j) and the slopes
-s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004): one Taylor jet of the h_i
-at y0, truncated at order p_max, holds every h_i^(p)(y0) for p <= p_max
-(Griewank & Walther, Evaluating Derivatives, ch. 13), with l_i(y0 + t) =
-w_i prod_{j!=i} (y0 - x_j + t) built from running prefix and suffix products,
-so nothing divides by y0 - x_i.  There are two readouts of the jet:
-derivative_sum rounds every term of one order, and derivative_extremes
-reads every requested order from one jet, so verify-eq1, which checks
-p = 1..p_max at one y0, builds one jet per (n, y0).  Nothing is stored
-between calls.  A basis is a pure function of its knot set and is cached,
-bounded like the knot sets, which every family caches too, so a caller that
-repeats a knot set builds the set and its basis once.
+Evaluation needs only the barycentric weights w_i = 1 / prod_{j!=i}
+(x_i - x_j) and the slopes s_i (Berrut & Trefethen, SIAM Rev. 46(3), 2004):
+one Taylor jet of the h_i at y0, truncated at order p_max, holds the Taylor
+coefficients [t^p] h_i(y0 + t) for p <= p_max (Griewank & Walther,
+Evaluating Derivatives, ch. 13), with l_i(y0 + t) = w_i prod_{j!=i}
+(y0 - x_j + t) built from running prefix and suffix products, so nothing
+divides by y0 - x_i.  There are two readouts of the jet, each applying p!
+exactly: derivative_sum rounds every term h_i^(p)(y0) of one order, and
+derivative_extremes reads every requested order from one jet, so
+verify-eq1, which checks p = 1..p_max at one y0, builds one jet per (n, y0).
+The dense coefficients of the h_i, which the tests compare, come from the
+same engine: the jet at 0 truncated at 2n-1 holds every [x^p] h_i.  On
+Chebyshev knots the closed form above is an independent construction, run
+on integers; the two must agree.  Nothing is stored between calls.  A
+basis is a pure function of its knot set and is cached, bounded like the
+knot sets, which every family caches too, so a caller that repeats a knot
+set builds the set and its basis once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -35,11 +38,12 @@ precision plus _BLOCK_GUARD_BITS, from the bit length of its leading
 coefficients.  A coefficient of g_i is an exact integer dot product of
 prefix and suffix, rounded once with its block.  w_i is folded into that
 block once per i, before squaring, in one more block rounding: the block is
-then l_i(y0 + t) = w_i g_i(t).  Each term h_i^(p)(y0) is formed exactly from
-s_i, y0 - x_i and that block and kept as an exact integer pair (V, e), with
-value V 2^e.  Only w_i = 1/g_i(0) and s_i = g_i'(0)/g_i(0) are libmp
-divisions.  Error model: one rounding per block stage, at relative size
-2^-(wp + 32) of the block's leading coefficients, and none per term.
+then l_i(y0 + t) = w_i g_i(t).  Each coefficient [t^p] h_i(y0 + t) is
+formed exactly from s_i, y0 - x_i and that block and kept as an exact
+integer pair (V, e), with value V 2^e; a term h_i^(p)(y0) is p! V 2^e.
+Only w_i = 1/g_i(0) and s_i = g_i'(0)/g_i(0) are libmp divisions.  Error
+model: one rounding per block stage, at relative size 2^-(wp + 32) of the
+block's leading coefficients, and none per term.
 Measured against an exact rational oracle of the terms on the rounded knots
 (tests/exact_oracle.py), the exact terms are within a few ulps of the
 working precision at the data scale; one libmp rounding per operation gave
@@ -63,16 +67,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 from typing import Sequence
 
-from mpmath.libmp import (
-    fone,
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_mul,
-    mpf_shift,
-)
+from mpmath.libmp import fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_shift
 
 from .apnum import _RND, ApFloat, NumPoly, _common_scale, _man_exp, _renorm, max_abs
 from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
@@ -92,25 +87,6 @@ _BLOCK_GUARD_BITS = 32
 
 def _guarded_precision(knots: KnotSet) -> int:
     return knots.precision_bits + 64 + 4 * knots.n
-
-
-def _deflate(poly: NumPoly, root: ApFloat) -> NumPoly:
-    """Quotient of poly by (x - root), dropping the remainder.
-
-    Synthetic division from the top coefficient down; the remainder is
-    poly(root), which is ~0 whenever root is (a rounding of) a root.
-    """
-    raws = poly._raw
-    wp = poly.precision_bits
-    if len(raws) < 2:
-        return NumPoly([], wp)
-    out = [fzero] * (len(raws) - 1)
-    acc = raws[-1]
-    out[-1] = acc
-    for k in range(len(raws) - 2, 0, -1):
-        acc = mpf_add(raws[k], mpf_mul(root.raw, acc, wp, _RND), wp, _RND)
-        out[k - 1] = acc
-    return NumPoly(out, wp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,55 +122,11 @@ class FundamentalBasis:
 
     @property
     def h(self) -> tuple[NumPoly, ...]:
-        """Dense coefficients of every h_i: the reference construction, O(n^2)
-        numbers built afresh on each read."""
-        closed = self.construction == "chebyshev_closed_form"
-        return (_closed_form_h if closed else _general_h)(self.knots)
-
-
-def lagrange_basis(knots: KnotSet) -> list[NumPoly]:
-    """Lagrange cardinal polynomials l_i = omega / ((x - x_i) omega'(x_i)).
-
-    omega'(x_i) is obtained by evaluating the differentiated node polynomial;
-    the product-of-differences form is kept out of the code path and used only
-    as an independent oracle in the tests.
-    """
-    wp = _guarded_precision(knots)
-    one = ApFloat(1, wp)
-    omega = NumPoly([one], wp)
-    for x in knots.points:
-        omega = omega * NumPoly([-x, one], wp)
-    omega_d = omega.derivative()
-    basis = []
-    for x in knots.points:
-        quotient = _deflate(omega, x)
-        basis.append(quotient.scale(one / omega_d.evaluate(x)))
-    return basis
-
-
-def _general_h(knots: KnotSet) -> tuple[NumPoly, ...]:
-    """Dense h_i = l_i^2 (1 - 2 l_i'(x_i)(x - x_i)) from the Lagrange basis."""
-    wp = _guarded_precision(knots)
-    one = ApFloat(1, wp)
-    hs = []
-    for x, l in zip(knots.points, lagrange_basis(knots)):
-        slope = l.derivative().evaluate(x)
-        linear = NumPoly([one + (slope * x).scale2(1), -slope.scale2(1)], wp)
-        hs.append((l * l) * linear)
-    return tuple(hs)
-
-
-def _closed_form_h(knots: KnotSet) -> tuple[NumPoly, ...]:
-    """Dense h_i = (1/n^2) [T_n/(x - x_i)]^2 (1 - x x_i) on Chebyshev knots."""
-    wp = _guarded_precision(knots)
-    tn = NumPoly.from_ratpoly(chebyshev_T(knots.n), wp)
-    one = ApFloat(1, wp)
-    inv_n2 = one / ApFloat(knots.n ** 2, wp)
-    hs = []
-    for x in knots.points:
-        quotient = _deflate(tn, x)
-        hs.append(((quotient * quotient) * NumPoly([one, -x], wp)).scale(inv_n2))
-    return tuple(hs)
+        """Dense coefficients of every h_i, each rounded once to the working
+        precision: O(n^2) numbers built afresh on each read."""
+        if self.construction == "chebyshev_closed_form":
+            return _closed_form_h(self.knots)
+        return _jet_h(self)
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
@@ -279,7 +211,8 @@ def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
 
 def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
     """One row per p in orders (ascending): for every i the exact integer pair
-    (V, e) with h_i^(p)(y0) = p! [t^p] h_i(y0 + t) = V 2^e.
+    (V, e) with [t^p] h_i(y0 + t) = V 2^e, the Taylor coefficient; the
+    derivative h_i^(p)(y0) is p! times it, applied exactly by the readouts.
 
     h_i(y0 + t) = l_i(y0 + t)^2 (a_i - 2 s_i t) with l_i(y0 + t) = w_i g_i(t)
     and a_i = 1 - 2 s_i (y0 - x_i).  w_i is folded into the g_i block once,
@@ -292,7 +225,7 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
     d, L, gs = jet
     ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0][0])))
     rows = [[(0, 0)] * n for _ in orders]
-    live = [(row, p, math.factorial(p)) for row, p in zip(rows, orders) if p in ks]
+    live = [(row, p) for row, p in zip(rows, orders) if p in ks]
     for i, ((g, eg), (mw, ew), (ms, es)) in enumerate(zip(gs, basis.weights, basis.slopes)):
         l, el = _renorm([mw * c for c in g], eg + ew, bits)
         es += 1  # 2 s_i = ms 2^es
@@ -303,9 +236,8 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
         A, ms = A << (ea - e), ms << (es - e)  # both on exponent e
         e += 2 * el
         l2 = {k: _square_coeff(l, k) for k in ks}
-        for row, p, fact in live:
-            v = A * l2[p] - ms * l2[p - 1] if p else A * l2[0]
-            row[i] = (v * fact, e)
+        for row, p in live:
+            row[i] = (A * l2[p] - ms * l2[p - 1] if p else A * l2[0], e)
     return tuple(map(tuple, rows))
 
 
@@ -314,6 +246,51 @@ def _square_coeff(g: list[int], k: int) -> int:
     g_(k/2)^2 for even k."""
     half = sum(map(mul, g[: (k + 1) // 2], g[k::-1]))
     return 2 * half + (g[k // 2] ** 2 if k % 2 == 0 else 0)
+
+
+def _jet_h(basis: FundamentalBasis) -> tuple[NumPoly, ...]:
+    """Dense h_i from one Taylor jet at 0, truncated at 2n-1: [x^p] h_i is
+    [t^p] h_i(0 + t), the exact pair that row p holds."""
+    n, wp = basis.n, basis.working_precision_bits
+    rows = _rows(basis, _jet(basis, 2 * n - 1, ApFloat(0, basis.precision_bits)), range(2 * n))
+    return tuple(NumPoly([from_man_exp(v, e, wp, _RND) for v, e in col], wp) for col in zip(*rows))
+
+
+def _closed_form_h(knots: KnotSet) -> tuple[NumPoly, ...]:
+    """Dense h_i = (1/n^2) [T_n/(x - x_i)]^2 (1 - x x_i) on integers.
+
+    With x_i = X_i 2^-L, P(u) = 2^(Ln) T_n(u 2^-L) has integer coefficients
+    c_k 2^(L(n-k)), and its quotient by (u - X_i), found exactly by
+    synthetic division from the top, holds Q_k = q_k 2^(L(n-1-k)) for the
+    quotient q of T_n by (x - x_i).  On the exponent -L(n-1), q_k is
+    Q_k 2^(Lk); that block is rounded once to the working precision plus
+    _BLOCK_GUARD_BITS, from its largest coefficient.  The square and the
+    factor (1 - x x_i) = (2^L - X_i x) 2^-L are exact, and each coefficient
+    is divided by n^2 in one rounding.  Dividing out a rounded root drops the
+    remainder T_n(x_i), which is ~0.
+    """
+    n, wp = knots.n, _guarded_precision(knots)
+    bits = wp + _BLOCK_GUARD_BITS
+    xs, L = _common_scale([x.raw for x in knots.points])
+    c = [int(a) for a in chebyshev_T(n).coeffs]
+    n2 = from_int(n * n)
+    hs = []
+    for X in xs:
+        Q, acc = [0] * n, 0
+        for k in range(n, 0, -1):
+            acc = (c[k] << (L * (n - k))) + X * acc
+            Q[k - 1] = acc
+        q = [v << (L * k) for k, v in enumerate(Q)]  # on the exponent -L(n-1)
+        b = max(map(abs, q)).bit_length() - bits
+        if b > 0:
+            half = 1 << (b - 1)
+            q = [(v + half) >> b for v in q]
+        E = 2 * (max(b, 0) - L * (n - 1)) - L  # the exponent of the h_i block
+        padded = q + [0] * (n - 1)  # _square_coeff reads g[k] for k <= 2n-2
+        sq = [_square_coeff(padded, k) for k in range(2 * n - 1)]
+        h = [(v << L) - X * lower for v, lower in zip(sq + [0], [0] + sq)]
+        hs.append(NumPoly([mpf_div(from_man_exp(v, E), n2, wp, _RND) for v in h], wp))
+    return tuple(hs)
 
 
 def _one_exponent(pairs) -> tuple[list[int], int]:
@@ -363,12 +340,13 @@ def derivative_extremes(
         raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
     prec = basis.precision_bits
     out = []
-    for row in _rows(basis, _jet(basis, orders[-1], y0), orders):
+    for p, row in zip(orders, _rows(basis, _jet(basis, orders[-1], y0), orders)):
         ints, low = _one_exponent(row)
+        fact = math.factorial(p)
         top = max(max(ints), -min(ints)) if ints else 0
         out.append((
-            ApFloat._wrap(from_man_exp(sum(ints), low, prec, _RND), prec),
-            ApFloat._wrap(from_man_exp(top, low, prec, _RND), prec),
+            ApFloat._wrap(from_man_exp(sum(ints) * fact, low, prec, _RND), prec),
+            ApFloat._wrap(from_man_exp(top * fact, low, prec, _RND), prec),
         ))
     return out
 
@@ -387,6 +365,8 @@ def derivative_sum(
     if p < 1:
         raise ValueError(f"derivative order must be >= 1, got {p}")
     (row,) = _rows(basis, _jet(basis, p, y0), (p,))
+    fact = math.factorial(p)
+    row = [(v * fact, e) for v, e in row]
     prec = basis.precision_bits
     terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
     return ApFloat._wrap(_round_sum(row, prec), prec), terms

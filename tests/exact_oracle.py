@@ -89,7 +89,7 @@ def _floor_log2(a: int, b: int) -> int:
 
 def term_errors(row, terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """(num_i, den_i) with |V_i 2^e_i - A_i/B_i| = num_i / den_i exactly, for
-    a row of exact pairs (V_i, e_i) as hermite._rows forms them."""
+    a row of exact pairs (V_i, e_i): hermite._rows' pairs times p!."""
     errors = []
     for (v, e), (a, b) in zip(row, terms):
         low = min(e, 0)
@@ -140,6 +140,8 @@ def grid_errors(bits: int, ns=GRID_N):
                 rows = _rows(basis, _jet(basis, P_MAX, y0), orders)
                 exact.append(exact_rows(basis.knots.points, y0, P_MAX))
                 for p, row, (residual, _) in zip(orders, rows, derivative_extremes(basis, orders, y0)):
+                    # _rows holds [t^p] h_i(y0 + t); the term is p! times it
+                    row = [(v * math.factorial(p), e) for v, e in row]
                     errors = term_errors(row, exact[-1][p])
                     worst = max(worst, error_ulps(errors, exact[-1][p], wp))
                     residuals.append((residual, errors))

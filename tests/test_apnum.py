@@ -16,7 +16,7 @@ from fejerlab.apnum import (
     sqrt,
     to_apfloat,
 )
-from fejerlab.ratpoly import RatPoly, chebyshev_T
+from fejerlab.ratpoly import chebyshev_T
 from reference import pow2
 
 
@@ -150,12 +150,6 @@ class TestNumPoly:
         for k, expect in enumerate((1, 2, 1)):
             assert abs(sq.coefficient(k) - expect) <= tol
 
-    def test_second_derivative(self):
-        p = NumPoly.from_ratpoly(RatPoly([0, -3, 0, 4]), 128)
-        d2 = p.derivative(2)
-        assert d2.degree == 1
-        assert d2.coefficient(0) == 0 and d2.coefficient(1) == 24
-
     def test_defining_identity_t9(self):
         rng = random.Random(9)
         t9 = NumPoly.from_ratpoly(chebyshev_T(9), 256)
@@ -182,10 +176,6 @@ class TestNumPoly:
     def test_exact_zero_trim(self):
         p = NumPoly([1, 2, 0, 0], 64)
         assert p.degree == 1
-
-    def test_scale_by_int(self):
-        p = NumPoly([1, 2], 64).scale(3)
-        assert p.coefficient(0) == 3 and p.coefficient(1) == 6
 
 
 class TestPrecisionMonotonicity:

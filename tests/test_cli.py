@@ -17,6 +17,7 @@ import fejerlab.hermite as hermite_mod
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat
 from fejerlab.knots import KnotSpacingError
+from fejerlab.ratpoly import RatPoly
 
 
 def run(capsys, *argv):
@@ -243,6 +244,24 @@ class TestConjectureCommand:
         (row,) = json_lines(out)
         assert row["confirmed"] is True
         assert row["formula"] == ["-1/6", "0/1", "1/6"]
+
+    def test_json_mode_formats_no_text_line(self, capsys, monkeypatch):
+        # the text line repr()s the formula; only text mode may build it
+        reprs = []
+        original = RatPoly.__repr__
+
+        def counting_repr(self):
+            reprs.append(1)
+            return original(self)
+
+        monkeypatch.setattr(RatPoly, "__repr__", counting_repr)
+        argv = ["conjecture", "--m", "2", "--train", "3,5,7,9,11", "--holdout", "13,15"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json_lines(out)[0]["confirmed"] is True
+        assert reprs == []
+        code, out, _ = run(capsys, *argv, "--output", "text")
+        assert code == 0 and out.startswith("confirmed m=2: ")
+        assert reprs == [1]
 
     def test_formula_mode_needs_arguments(self, capsys):
         code, _, err = run(capsys, "conjecture", "--m", "1", "--train", "3,5,7")

@@ -1,5 +1,6 @@
 """Fundamental-polynomial construction: hand-built exact oracles, the
 cardinality conditions, and the vanishing derivative sums."""
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -19,7 +20,6 @@ from fejerlab.hermite import (
     derivative_sum,
     hermite_fejer_basis,
     interpolate,
-    lagrange_basis,
     scaled_tolerance,
 )
 from fejerlab.knots import (
@@ -31,6 +31,7 @@ from fejerlab.knots import (
     make_knots,
 )
 from fejerlab.ratpoly import RatPoly
+from exact_oracle import exact_rows
 from reference import pow2
 
 BITS = 256
@@ -48,63 +49,16 @@ def coeff_tolerance(polys, bits=BITS):
     return scaled_tolerance(coeffs, bits)
 
 
+def exact(h: NumPoly) -> RatPoly:
+    """The rounded coefficients of h, read exactly."""
+    return RatPoly([c.to_fraction() for c in h.coefficients()])
+
+
 def assert_poly_close(numeric: NumPoly, exact: RatPoly, tol):
     assert numeric.degree <= max(exact.degree, numeric.degree)
     for k in range(max(numeric.degree, exact.degree) + 1):
         target = exact.coeffs[k] if k <= exact.degree else F(0)
         assert abs(numeric.coefficient(k) - ApFloat(target, BITS)) <= tol
-
-
-class TestLagrangeBasis:
-    def test_two_knots_by_hand(self):
-        knots = equispaced_knots(2, F(-1), F(1), BITS)
-        l1, l2 = lagrange_basis(knots)
-        tol = pow2(-240, BITS)
-        assert_poly_close(l1, RatPoly([F(1, 2), F(-1, 2)]), tol)
-        assert_poly_close(l2, RatPoly([F(1, 2), F(1, 2)]), tol)
-
-    def test_three_knots_middle(self):
-        knots = equispaced_knots(3, F(-1), F(1), BITS)
-        basis = lagrange_basis(knots)
-        assert_poly_close(basis[1], RatPoly([1, 0, -1]), pow2(-240, BITS))
-
-    @pytest.mark.parametrize("knots", SAMPLE_KNOTS, ids=lambda k: k.family)
-    def test_partition_of_unity(self, knots):
-        basis = lagrange_basis(knots)
-        total = basis[0]
-        for l in basis[1:]:
-            total = total + l
-        tol = coeff_tolerance(basis)
-        assert abs(total.coefficient(0) - 1) <= tol
-        for k in range(1, total.degree + 1):
-            assert abs(total.coefficient(k)) <= tol
-
-    @pytest.mark.parametrize("knots", SAMPLE_KNOTS, ids=lambda k: k.family)
-    def test_cardinality(self, knots):
-        basis = lagrange_basis(knots)
-        tol = pow2(40 - BITS, BITS)
-        for i, l in enumerate(basis):
-            for j, x in enumerate(knots.points):
-                expect = 1 if i == j else 0
-                assert abs(l.evaluate(x) - expect) <= tol
-
-    def test_against_product_of_differences_oracle(self):
-        # independent route: omega'(x_i) as the product of knot differences
-        knots = chebyshev1_knots(5, BITS)
-        basis = lagrange_basis(knots)
-        wp = basis[0].precision_bits
-        one = ApFloat(1, wp)
-        for i, x_i in enumerate(knots.points):
-            numerator = NumPoly([one], wp)
-            denom = one
-            for j, x_j in enumerate(knots.points):
-                if j != i:
-                    numerator = numerator * NumPoly([-x_j, one], wp)
-                    denom = denom * (x_i - x_j)
-            oracle = numerator.scale(one / denom)
-            diff = basis[i] - oracle
-            tol = coeff_tolerance([oracle])
-            assert all(abs(c) <= tol for c in diff.coefficients())
 
 
 class TestHermiteFejerBasis:
@@ -118,22 +72,22 @@ class TestHermiteFejerBasis:
         assert_poly_close(basis.h[0], expected_h1, tol)
         assert_poly_close(basis.h[1], expected_h2, tol)
         # the four cardinality conditions as oracle
-        minus1, plus1 = to_apfloat(F(-1), BITS), to_apfloat(F(1), BITS)
-        assert abs(basis.h[0].evaluate(minus1) - 1) <= tol
-        assert abs(basis.h[0].evaluate(plus1)) <= tol
-        assert abs(basis.h[0].derivative().evaluate(minus1)) <= tol
-        assert abs(basis.h[0].derivative().evaluate(plus1)) <= tol
+        h1, tol = exact(basis.h[0]), tol.to_fraction()
+        assert abs(h1.evaluate(-1) - 1) <= tol
+        assert abs(h1.evaluate(1)) <= tol
+        assert abs(h1.derivative().evaluate(-1)) <= tol
+        assert abs(h1.derivative().evaluate(1)) <= tol
 
     @pytest.mark.parametrize("knots", SAMPLE_KNOTS, ids=lambda k: k.family)
     def test_cardinality_and_flat_derivative(self, knots):
         basis = hermite_fejer_basis(knots)
-        tol = pow2(40 - BITS, BITS)
-        for i, h in enumerate(basis.h):
+        tol = pow2(40 - BITS, BITS).to_fraction()
+        for i, h in enumerate(map(exact, basis.h)):
             dh = h.derivative()
             for j, x in enumerate(knots.points):
                 expect = 1 if i == j else 0
-                assert abs(h.evaluate(x) - expect) <= tol
-                assert abs(dh.evaluate(x)) <= tol
+                assert abs(h.evaluate(x.to_fraction()) - expect) <= tol
+                assert abs(dh.evaluate(x.to_fraction())) <= tol
 
     @pytest.mark.parametrize("knots", SAMPLE_KNOTS, ids=lambda k: k.family)
     def test_partition_of_unity(self, knots):
@@ -153,9 +107,9 @@ class TestHermiteFejerBasis:
 
     def test_value_at_own_knot(self):
         basis = hermite_fejer_basis(chebyshev1_knots(4, BITS))
-        tol = pow2(40 - BITS, BITS)
-        for i, x in enumerate(basis.knots.points):
-            assert abs(basis.h[i].evaluate(x) - 1) <= tol
+        tol = pow2(40 - BITS, BITS).to_fraction()
+        for h, x in zip(basis.h, basis.knots.points):
+            assert abs(exact(h).evaluate(x.to_fraction()) - 1) <= tol
 
     def test_equal_knot_sets_share_one_cached_basis(self):
         # two equal but distinct sets: the basis cache is keyed by value
@@ -209,11 +163,50 @@ class TestClosedForm:
 
     def test_partition_of_unity_at_random_point(self):
         basis = chebyshev_closed_form(8, BITS)
-        x = to_apfloat(F(4179, 10000), BITS)
-        total = basis.h[0].evaluate(x)
-        for h in basis.h[1:]:
-            total = total + h.evaluate(x)
-        assert abs(total - 1) <= pow2(40 - BITS, BITS)
+        x = to_apfloat(F(4179, 10000), BITS).to_fraction()
+        total = sum(exact(h).evaluate(x) for h in basis.h)
+        assert abs(total - 1) <= pow2(40 - BITS, BITS).to_fraction()
+
+
+DENSE_FAMILIES = [
+    (family, kwargs, n)
+    for family, kwargs in [
+        ("chebyshev1", {}),
+        ("chebyshev2", {}),
+        ("equispaced", {}),
+        ("gauss_jacobi", {"alpha": F(1, 3), "beta": F(1, 5)}),
+    ]
+    for n in (1, 2, 5, 17)
+    if (family, n) != ("equispaced", 1)  # equispaced sets need n >= 2
+]
+
+
+class TestDenseCoefficients:
+    """Both constructions of .h against the exact oracle at y0 = 0: row p of
+    exact_rows over p! is exactly [x^p] h_i on the rounded knots."""
+
+    @staticmethod
+    def _assert_exact(hs, knots):
+        n = knots.n
+        rows = exact_rows(knots.points, ApFloat(0, BITS), 2 * n - 1)
+        assert len(hs) == n
+        for i, h in enumerate(hs):
+            assert h.degree <= 2 * n - 1
+            tol = scaled_tolerance(h.coefficients(), BITS).to_fraction()
+            for p, row in enumerate(rows):
+                a, b = row[i]
+                gap = h.coefficient(p).to_fraction() - F(a, b * math.factorial(p))
+                assert abs(gap) <= tol, (i, p)
+
+    @pytest.mark.parametrize("family,kwargs,n", DENSE_FAMILIES)
+    def test_jet_construction(self, family, kwargs, n):
+        basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
+        self._assert_exact(basis.h, basis.knots)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_closed_form_construction(self, n):
+        basis = chebyshev_closed_form(n, BITS)
+        self._assert_exact(basis.h, basis.knots)
 
 
 class TestInterpolate:
@@ -239,10 +232,11 @@ class TestInterpolate:
         basis = hermite_fejer_basis(knots)
         x = to_apfloat(F(3, 10), BITS)
         direct = interpolate(basis, list(knots.points), x)
-        assembled = basis.h[0].scale(knots.points[0])
-        for h, xi in zip(basis.h[1:], knots.points[1:]):
-            assembled = assembled + h.scale(xi)
-        assert abs(direct - assembled.evaluate(x)) <= pow2(36 - BITS, BITS)
+        assembled = RatPoly()
+        for h, xi in zip(basis.h, knots.points):
+            assembled = assembled + exact(h) * xi.to_fraction()
+        gap = direct.to_fraction() - assembled.evaluate(x.to_fraction())
+        assert abs(gap) <= pow2(36 - BITS, BITS).to_fraction()
 
     def test_length_mismatch(self):
         basis = hermite_fejer_basis(chebyshev1_knots(4, BITS))
@@ -385,20 +379,23 @@ class TestDerivativeSum:
         assert all(result == serial[job] for job, result in seen)
 
     def test_jet_builds_no_dense_polynomial(self, monkeypatch):
-        products = []
-        original = NumPoly.__mul__
+        calls = []
+        for name in ("__mul__", "evaluate"):
+            original = getattr(NumPoly, name)
 
-        def counting_mul(self, other):
-            products.append(1)
-            return original(self, other)
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(NumPoly, "__mul__", counting_mul)
+            monkeypatch.setattr(NumPoly, name, counting)
         basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
         for p in (1, 4, 17, 18):
             derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
         interpolate(basis, list(basis.knots.points), to_apfloat(F(-2), BITS))
-        assert not products
         assert "h" not in vars(basis)
+        # the dense coefficients of either construction come from integers too
+        assert len(basis.h) == 9 and len(chebyshev_closed_form(9, BITS).h) == 9
+        assert calls == []
 
     @pytest.mark.parametrize("n", [2, 5, 9, 17])
     @pytest.mark.parametrize(
@@ -411,16 +408,16 @@ class TestDerivativeSum:
         ],
     )
     def test_jet_terms_match_dense_derivatives(self, family, kwargs, n):
-        # the dense h_i, differentiated by coefficient shifting, are the reference
+        # the reference is the exact oracle's h_i^(p)(y0) on the rounded knots
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
         knot = basis.knots.points[n // 3]
-        hs = basis.h
         for y0 in (knot, to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
+            rows = exact_rows(basis.knots.points, y0, 2 * n + 1)
             for p in range(1, 2 * n + 2):
                 _, terms = derivative_sum(basis, p, y0)
-                dense = [h.derivative(p).evaluate(y0) for h in hs]
-                tol = scaled_tolerance(terms + dense, BITS)
-                assert all(abs(t - e) <= tol for t, e in zip(terms, dense)), (p, y0)
+                dense = [F(a, b) for a, b in rows[p]]
+                tol = scaled_tolerance(terms, BITS).to_fraction()
+                assert all(abs(t.to_fraction() - e) <= tol for t, e in zip(terms, dense)), (p, y0)
 
 
 EXTREME_FAMILIES = [
@@ -460,6 +457,7 @@ class TestDerivativeExtremes:
             extremes = derivative_extremes(basis, orders, y0)
             assert len(extremes) == len(rows) == 2 * n + 1
             for p, (row, (r, largest)) in enumerate(zip(rows, extremes), 1):
+                row = [(v * math.factorial(p), e) for v, e in row]  # h_i^(p) = p! [t^p]
                 terms = [_rounded(v, e, bits) for v, e in row]
                 low = min(e for _, e in row)  # the exact sum on one exponent
                 assert r.raw == _rounded(sum(v << (e - low) for v, e in row), low, bits).raw, (p, y0)
