@@ -46,8 +46,10 @@ model: one rounding per block stage, at relative size 2^-(wp + 32) of the
 block's leading coefficients, and none per term.
 Measured against an exact rational oracle of the terms on the rounded knots
 (tests/exact_oracle.py), the exact terms are within a few ulps of the
-working precision at the data scale; one libmp rounding per operation gave
-up to about 285 on the same grid.  Each term is reported rounded once,
+working precision at the data scale for n <= 40; one libmp rounding per
+operation gave up to about 285 on the same grid.  Beyond that the error
+grows with n on equispaced knots (16 ulps at n = 64, 28 at n = 100) and
+stays near 2 on Chebyshev knots.  Each term is reported rounded once,
 straight to the knot precision.  A residual is the exact sum of its row's
 terms on one exponent, rounded once, so it is at most the sum of the terms'
 errors times 1 + 2^(1 - knot precision).  verify-eq1 prints only the
@@ -55,9 +57,19 @@ residual and a tolerance scaled by the largest |term|, so it reads
 derivative_extremes, which rounds just those two numbers per row, taking the
 maximum exactly on the row's integers, instead of n terms and the residual.
 
-The knot precision plus 64 + 4n guard bits is the working precision, and
-tolerances are stated against the knot precision; the acceptance suite
-derives the ulp floor of its 512-bit rerun from that budget.
+The working precision is the knot precision plus _GUARD_BITS = 80, whatever
+n, and tolerances are stated against the knot precision.  The guard comes
+from the error model (a running error analysis in the sense of Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.3).  A
+tolerance is 2^(40 - prec) at the data scale S = max(1, max |term|), and a
+residual is at most E = sum_i |T_i - E_i|, the terms' errors against the
+exact terms, so with G guard bits its margin log2(tolerance / |residual|) is
+at least 40 + G - log2(E / u), u = 2^-(prec + G) S the ulp of the working
+precision.  E / u stays under 2^5 up to n = 100 (chebyshev1 and equispaced,
+p <= 8), so G = 80 keeps every margin above 40 + 80 - 5 = 115 bits; the
+least margins read 118 to 122 bits at n = 12..200.  A flat 64 costs 16 of those
+bits, and a guard that grows with n buys margin that no check reads at the
+price of more bits in every integer product.
 """
 from __future__ import annotations
 
@@ -84,9 +96,13 @@ class LengthMismatch(ValueError):
 #: oracle (libmp, one rounding per operation: ~285); with them, under 7.
 _BLOCK_GUARD_BITS = 32
 
+#: Bits the working precision carries beyond the knot precision, whatever n
+#: (see the module docstring for the error model they are chosen from).
+_GUARD_BITS = 80
+
 
 def _guarded_precision(knots: KnotSet) -> int:
-    return knots.precision_bits + 64 + 4 * knots.n
+    return knots.precision_bits + _GUARD_BITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +134,8 @@ class FundamentalBasis:
 
     @property
     def working_precision_bits(self) -> int:
+        """The knot precision plus _GUARD_BITS, the same at every n; the
+        kernel's blocks carry _BLOCK_GUARD_BITS more."""
         return _guarded_precision(self.knots)
 
     @property

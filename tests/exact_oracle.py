@@ -121,13 +121,13 @@ def within_error_sum(x: Fraction, errors: list[tuple[int, int]], slack: Fraction
     return abs(x) * Fraction(2) ** K <= slack * floor_sum
 
 
-def grid_errors(bits: int, ns=GRID_N):
+def grid_errors(bits: int, ns=GRID_N, families=FAMILIES):
     """Yield (family, n, worst error in ulps, exact rows, residuals) over the
     grid at one knot precision: every y0 in GRID_Y0 and p = 1..P_MAX, read
     from one jet at P_MAX as verify-eq1 reads them.  residuals holds, for
     every row, derivative_extremes' residual and the row's term errors.
     Equispaced knots start at n = 2."""
-    for family, kwargs in FAMILIES:
+    for family, kwargs in families:
         for n in ns:
             if family == "equispaced" and n < 2:
                 continue

@@ -191,11 +191,14 @@ def test_criterion_9_precision_robustness(residual_grid):
     weak_shrinks = []
     for family, kwargs in GRID_FAMILIES:
         for n in GRID_N:
-            # A residual stored as exactly 0 means "below one ulp of the
-            # dominant term at the guarded working precision"; the shrink
-            # ratio is measured against that floor, recovered from the
-            # tolerance: tau = max(1, max|terms|) * 2^(40-256) and the
-            # working precision carries 64 + 4n guard bits.
+            # A residual stored as exactly 0 has no ratio to shrink by; the
+            # shrink is measured against a floor recovered from the
+            # tolerance, tau = max(1, max|terms|) * 2^(40-256).  The floor
+            # dates from a working precision of 64 + 4n guard bits; with the
+            # flat 80 guard bits it bounds r512 only up to about n = 17, and
+            # beyond that every row whose 256-bit residual is exactly 0 has
+            # an exactly 0 512-bit residual too (its exact integer sum
+            # vanishes, as at y0 = 0 and odd p on symmetric knots).
             ulp_floor = F(1, 2 ** (104 + 4 * n))
             for p in GRID_P:
                 for y0 in GRID_Y0:

@@ -456,11 +456,13 @@ def test_stdout_matches_golden_file(name, argv, capsys, monkeypatch):
 
 
 #: sha256 of each verify-eq1 golden file with the residual dropped from every
-#: record, taken before the residuals became exact row sums: that rewrite
-#: changed residual strings only.
+#: record.  A residual is the rounding error of an exact zero sum, so it moves
+#: whenever the working precision does; every other field (tolerance, pass,
+#: the knots and y0) must not.
 GOLDEN_WITHOUT_RESIDUALS = {
     "verify_eq1_gauss_jacobi": "b4c4937f6518de53b22f09a19b77e4e431466dd0b98f1bb91109ad011e72550b",
     "verify_eq1_equispaced_512": "ce3184748440addbac198941022318788b49e0505f2f3cb55fa2e3025fd4b196",
+    "verify_eq1_chebyshev2_n47_512": "03fbffae751db6f16ec83dfab1ef95272c701b9c8bb1e84b6765d078030a3df9",
 }
 
 

@@ -474,6 +474,31 @@ class TestDerivativeExtremes:
             derivative_extremes(basis, orders, ApFloat(0, BITS))
 
 
+class TestWorkingPrecision:
+    """The working precision carries a flat number of guard bits, chosen from
+    the kernel's error model, and verify-eq1's residuals sit far enough under
+    their tolerance at every n for it."""
+
+    @pytest.mark.parametrize("n", [1, 40, 400])
+    def test_guard_bits_do_not_grow_with_n(self, n):
+        basis = hermite_fejer_basis(chebyshev1_knots(n, BITS))
+        assert basis.working_precision_bits == basis.precision_bits + 80
+
+    def test_margin_floor(self):
+        # log2(tolerance / |residual|) >= 110 on every row: with a flat 80
+        # guard bits the least margin here is 118.2 bits, with 64 it is 102.4
+        orders = range(1, 9)
+        for family in ("equispaced", "chebyshev1"):
+            for n in (12, 48, 100, 200):
+                basis = hermite_fejer_basis(make_knots(family, n, BITS))
+                for y0 in (F(3, 10), F(2)):
+                    for p, (r, largest) in zip(
+                        orders, derivative_extremes(basis, orders, to_apfloat(y0, BITS))
+                    ):
+                        tol = scaled_tolerance([largest], BITS).to_fraction()
+                        assert abs(r.to_fraction()) * 2 ** 110 <= tol, (family, n, p, y0)
+
+
 class TestScaledTolerance:
     def test_floor_at_one(self):
         tiny = [ApFloat(F(1, 1000), BITS)]
