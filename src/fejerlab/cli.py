@@ -10,12 +10,15 @@ Subcommands:
 * conjecture       fit power-sum formulas / hunt rationals at general knots
 
 Output is JSON lines by default (one object per check, streamed in sweep
-order) and is byte-identical across runs for identical argv.  Exit status: 0
-when every performed check passed, 1 when any failed, 2 on usage errors, 3
-on a numeric failure (a root iteration that did not converge, or knots too
-close for the working precision), 141 (128 + SIGPIPE) when the reader of
-stdout closed it early, as in `fejerlab verify-eq1 ... | head -1`; errors go
-to stderr as one "error: ..." line, and a closed pipe prints nothing.
+order) and is byte-identical across runs for identical argv.  Each
+subcommand's handler is a generator of (record, passed, text line) triples;
+one loop prints every record as it comes and sets the exit status.  Exit
+status: 0 when every performed check passed, 1 when any failed, 2 on usage
+errors, 3 on a numeric failure (a root iteration that did not converge, or
+knots too close for the working precision), 141 (128 + SIGPIPE) when the
+reader of stdout closed it early, as in `fejerlab verify-eq1 ... | head -1`;
+errors go to stderr as one "error: ..." line, and a closed pipe prints
+nothing.
 The precision is --precision-bits when given; otherwise the
 FEJERLAB_PRECISION_BITS environment variable, read only then, or 256 bits.
 """
@@ -26,6 +29,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from . import conjecture as conj
@@ -38,14 +42,19 @@ from .ratpoly import format_rational
 
 PRECISION_ENV_VAR = "FEJERLAB_PRECISION_BITS"
 
+#: What a subcommand's handler yields for each record: the JSON object, whether
+#: it passed, and a function that formats its --output text line.
+Records = Iterator[tuple[dict, bool, Callable[[], str]]]
+
 
 class UsageError(ValueError):
     pass
 
 
-# The parsed argparse namespace is the run configuration: subcommand,
-# precision_bits (>= 64, default 256 or the environment override), n / n_max,
-# p / p_max, the y0 list, family with its parameters, and the output mode.
+# The parsed argparse namespace is the run configuration: the subcommand's
+# handler, precision_bits (>= 64, default 256 or the environment override),
+# n / n_max, p / p_max, the y0 list, family with its parameters, and the
+# output mode.
 # The CLI checks how the options combine; the library checks the values it
 # is handed.  Both raise before the first record is printed.
 
@@ -59,7 +68,7 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -75,15 +84,6 @@ def _default_precision() -> int:
     if bits < MIN_PRECISION_BITS:
         raise UsageError(f"{PRECISION_ENV_VAR} must be >= {MIN_PRECISION_BITS}, got {raw!r}")
     return bits
-
-
-def _emit(obj: dict, mode: str, text) -> None:
-    """Print obj as JSON, or the line text() builds in text mode: a line is
-    formatted only for the mode that prints it."""
-    if mode == "json":
-        print(json.dumps(obj))
-    else:
-        print(text())
 
 
 def _reject_given(args, names, where: str) -> None:
@@ -111,7 +111,7 @@ def _n_values(args, odd: bool = False) -> list[int]:
     return [args.n]
 
 
-def _cmd_knots(args) -> int:
+def _cmd_knots(args) -> Records:
     knots = make_knots(args.family, args.n, args.precision_bits, **_knot_params(args))
     obj = {
         "family": knots.family,
@@ -121,11 +121,10 @@ def _cmd_knots(args) -> int:
         "precision_bits": knots.precision_bits,
         "points": [str(x) for x in knots.points],
     }
-    _emit(obj, args.output, lambda: f"{knots.family} n={knots.n}: " + " ".join(obj["points"]))
-    return 0
+    yield obj, True, lambda: f"{knots.family} n={knots.n}: " + " ".join(obj["points"])
 
 
-def _cmd_verify_eq1(args) -> int:
+def _cmd_verify_eq1(args) -> Records:
     if args.p_max < 1:
         raise UsageError("--p-max must be >= 1")
     y0_list = args.y0 or [Fraction(0)]
@@ -133,7 +132,6 @@ def _cmd_verify_eq1(args) -> int:
         raise UsageError("--y0 values must be distinct")
     y0_points = [ApFloat(y0, args.precision_bits) for y0 in y0_list]
     params = _knot_params(args)
-    all_pass = True
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
         sums = [derivative_extremes(basis, range(1, args.p_max + 1), y0) for y0 in y0_points]
@@ -141,7 +139,6 @@ def _cmd_verify_eq1(args) -> int:
             for y0, (residual, largest) in zip(y0_list, row):
                 tolerance = scaled_tolerance([largest], args.precision_bits)
                 ok = abs(residual) <= tolerance
-                all_pass &= ok
                 obj = {
                     "family": args.family,
                     "n": n,
@@ -152,49 +149,40 @@ def _cmd_verify_eq1(args) -> int:
                     "precision_bits": args.precision_bits,
                     "pass": ok,
                 }
-                _emit(
-                    obj,
-                    args.output,
+                yield obj, ok, (
                     lambda: f"{'ok  ' if ok else 'FAIL'} {args.family} n={n} p={p} y0={y0}: "
-                    f"|residual| {abs(residual)} vs tolerance {tolerance}",
+                    f"|residual| {abs(residual)} vs tolerance {tolerance}"
                 )
-    return 0 if all_pass else 1
 
 
-def _cmd_verify_identity(args) -> int:
-    all_hold = True
+def _cmd_verify_identity(args) -> Records:
     for n in _n_values(args, odd=True):
         report = verify_cosecant_sum(n)
-        all_hold &= report.holds
         obj = {
             "n": n,
             "lhs": format_rational(report.lhs),
             "rhs": format_rational(report.rhs),
             "holds": report.holds,
         }
-        _emit(
-            obj,
-            args.output,
-            lambda: f"{'ok  ' if report.holds else 'FAIL'} n={n}: {obj['lhs']} vs {obj['rhs']}",
+        yield obj, report.holds, (
+            lambda: f"{'ok  ' if report.holds else 'FAIL'} n={n}: {obj['lhs']} vs {obj['rhs']}"
         )
-    return 0 if all_hold else 1
 
 
-def _cmd_power_sum(args) -> int:
+def _cmd_power_sum(args) -> Records:
     for n in _n_values(args, odd=True):
         value = inverse_power_sum(n, args.m)
         obj = {"n": n, "m": args.m, "value": format_rational(value)}
-        _emit(obj, args.output, lambda: f"PS({args.m},{n}) = {obj['value']}")
-    return 0
+        yield obj, True, lambda: f"PS({args.m},{n}) = {obj['value']}"
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> Records:
     if args.family is not None:
         return _conjecture_explore(args)
     return _conjecture_formula(args)
 
 
-def _conjecture_formula(args) -> int:
+def _conjecture_formula(args) -> Records:
     explore_only = ("p", "y0", "n_list", "alpha", "beta", "a", "b", "max_denominator")
     _reject_given(args, explore_only, "formula mode (no --family)")
     if args.m is None or args.train is None or args.holdout is None:
@@ -208,11 +196,10 @@ def _conjecture_formula(args) -> int:
         "confirmed": report.confirmed,
     }
     verdict = "confirmed" if report.confirmed else "REFUTED"
-    _emit(obj, args.output, lambda: f"{verdict} m={report.m}: {report.formula!r}")
-    return 0 if report.confirmed else 1
+    yield obj, report.confirmed, lambda: f"{verdict} m={report.m}: {report.formula!r}"
 
 
-def _conjecture_explore(args) -> int:
+def _conjecture_explore(args) -> Records:
     _reject_given(args, ("m", "train", "holdout"), "explore mode (--family)")
     if args.p is None or not args.n_list:
         raise UsageError("explore mode needs --p and --n-list")
@@ -230,26 +217,21 @@ def _conjecture_explore(args) -> int:
         args.precision_bits,
         **given,
     )
-    parts = ("offcenter_aggregate", "nearest_knot_term")
-    for idx, rec in enumerate(findings):
-        n = args.n_list[idx // 2]
-        obj = {
-            "family": args.family,
-            "n": n,
-            "p": args.p,
-            "y0": format_rational(y0),
-            "part": parts[idx % 2],
-            "value": str(rec.input),
-            "candidate": format_rational(rec.candidate) if rec.candidate is not None else None,
-            "confirmed_at_bits": rec.confirmed_at_bits,
-            "precision_bits": args.precision_bits,
-        }
-        _emit(
-            obj,
-            args.output,
-            lambda: f"n={n} {obj['part']}: {obj['value']} ~ {obj['candidate']}",
-        )
-    return 0
+    # findings alternate per n: the off-nearest aggregate, then the nearest knot's term
+    for n, aggregate, nearest in zip(args.n_list, findings[::2], findings[1::2]):
+        for part, rec in (("offcenter_aggregate", aggregate), ("nearest_knot_term", nearest)):
+            obj = {
+                "family": args.family,
+                "n": n,
+                "p": args.p,
+                "y0": format_rational(y0),
+                "part": part,
+                "value": str(rec.input),
+                "candidate": format_rational(rec.candidate) if rec.candidate is not None else None,
+                "confirmed_at_bits": rec.confirmed_at_bits,
+                "precision_bits": args.precision_bits,
+            }
+            yield obj, True, lambda: f"n={n} {part}: {obj['value']} ~ {obj['candidate']}"
 
 
 @functools.lru_cache(maxsize=4)
@@ -265,26 +247,32 @@ def build_parser(default_precision: int | None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_knots = sub.add_parser("knots", help="generate a knot set")
+    p_knots.set_defaults(handler=_cmd_knots)
     p_knots.add_argument("--family", choices=FAMILIES, required=True)
     p_knots.add_argument("--n", type=int, required=True)
 
     p_eq1 = sub.add_parser("verify-eq1", help="check the vanishing derivative sums")
+    p_eq1.set_defaults(handler=_cmd_verify_eq1)
     p_eq1.add_argument("--family", choices=FAMILIES, default="chebyshev1")
-    p_eq1.add_argument("--n", type=int)
-    p_eq1.add_argument("--n-max", type=int)
+
+    p_id = sub.add_parser("verify-identity", help="check the cosecant sum exactly")
+    p_id.set_defaults(handler=_cmd_verify_identity)
+
+    p_ps = sub.add_parser("power-sum", help="exact inverse power sums")
+    p_ps.set_defaults(handler=_cmd_power_sum)
+    p_ps.add_argument("--m", type=int, default=1)
+
+    # The sweep selector of the three sweep subcommands (_n_values reads it),
+    # declared after verify-eq1's --family and power-sum's --m, which fixes
+    # its place in their --help.
+    for p in (p_eq1, p_id, p_ps):
+        p.add_argument("--n", type=int)
+        p.add_argument("--n-max", type=int)
     p_eq1.add_argument("--p-max", type=int, default=2)
     p_eq1.add_argument("--y0", type=_fraction, action="append")
 
-    p_id = sub.add_parser("verify-identity", help="check the cosecant sum exactly")
-    p_id.add_argument("--n", type=int)
-    p_id.add_argument("--n-max", type=int)
-
-    p_ps = sub.add_parser("power-sum", help="exact inverse power sums")
-    p_ps.add_argument("--m", type=int, default=1)
-    p_ps.add_argument("--n", type=int)
-    p_ps.add_argument("--n-max", type=int)
-
     p_conj = sub.add_parser("conjecture", help="fit formulas / recognize rationals")
+    p_conj.set_defaults(handler=_cmd_conjecture)
     p_conj.add_argument("--m", type=int)
     p_conj.add_argument("--train", type=_int_list)
     p_conj.add_argument("--holdout", type=_int_list)
@@ -305,15 +293,6 @@ def build_parser(default_precision: int | None) -> argparse.ArgumentParser:
         p.add_argument("--precision-bits", type=int, default=default_precision)
         p.add_argument("--output", choices=("json", "text"), default="json")
     return parser
-
-
-_COMMANDS = {
-    "knots": _cmd_knots,
-    "verify-eq1": _cmd_verify_eq1,
-    "verify-identity": _cmd_verify_identity,
-    "power-sum": _cmd_power_sum,
-    "conjecture": _cmd_conjecture,
-}
 
 
 def main(argv=None) -> int:
@@ -340,7 +319,13 @@ def _run(argv) -> int:
             args.precision_bits = _default_precision()
         elif args.precision_bits < MIN_PRECISION_BITS:
             raise UsageError(f"--precision-bits must be >= {MIN_PRECISION_BITS}")
-        return _COMMANDS[args.subcommand](args)
+        # Records print as they are made; a text line is formatted only in
+        # text mode, the one mode that prints it.
+        all_pass = True
+        for record, passed, text_line in args.handler(args):
+            print(json.dumps(record) if args.output == "json" else text_line())
+            all_pass &= passed
+        return 0 if all_pass else 1
     except (ConvergenceFailure, KnotSpacingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,6 @@
 """Command-line contract: JSON schemas, exit codes, determinism, precision
 plumbing."""
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -310,6 +311,150 @@ class TestConjectureCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestRecordContract:
+    """Whole text lines of every record kind, and the exit status the record
+    stream sets: 0 when every record passed, 1 when any failed, 3 when a
+    numeric failure cut the stream short."""
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                "knots --family chebyshev1 --n 3 --precision-bits 64",
+                ["chebyshev1 n=3: -0.866025403784438646787 0.0 0.866025403784438646787"],
+            ),
+            (
+                "verify-eq1 --n 2 --p-max 2 --y0 0 --y0 1/3 --precision-bits 64",
+                [
+                    "ok   chebyshev1 n=2 p=1 y0=0: |residual| 0.0 vs tolerance 6.32202727663410476852e-8",
+                    "ok   chebyshev1 n=2 p=1 y0=1/3: |residual| 2.00658708394565390142e-44 "
+                    "vs tolerance 5.9604644775390625e-8",
+                    "ok   chebyshev1 n=2 p=2 y0=0: |residual| 6.01976125233778384183e-44 "
+                    "vs tolerance 5.9604644775390625e-8",
+                    "ok   chebyshev1 n=2 p=2 y0=1/3: |residual| 6.01976124816158898231e-44 "
+                    "vs tolerance 8.42936970217880635846e-8",
+                ],
+            ),
+            (
+                "verify-identity --n-max 7",
+                ["ok   n=3: 8/3 vs 8/3", "ok   n=5: 8/1 vs 8/1", "ok   n=7: 16/1 vs 16/1"],
+            ),
+            (
+                "power-sum --m 2 --n-max 7",
+                ["PS(2,3) = 16/9", "PS(2,5) = 48/5", "PS(2,7) = 32/1"],
+            ),
+            (
+                "conjecture --m 1 --train 3,5,7 --holdout 9,11",
+                ["confirmed m=1: RatPoly('1/6x^2 - 1/6')"],
+            ),
+            (
+                "conjecture --family chebyshev1 --p 2 --n-list 3,5 --precision-bits 64",
+                [
+                    "n=3 offcenter_aggregate: 5.33333333333333333304 ~ 16/3",
+                    "n=3 nearest_knot_term: -5.33333333333333333304 ~ -16/3",
+                    "n=5 offcenter_aggregate: 16.0 ~ 16/1",
+                    "n=5 nearest_knot_term: -15.9999999999999999991 ~ -16/1",
+                ],
+            ),
+        ],
+        ids=["knots", "verify-eq1", "verify-identity", "power-sum", "formula", "explore"],
+    )
+    def test_text_lines(self, capsys, argv, lines):
+        code, out, err = run(capsys, *argv.split(), "--output", "text")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+
+    def test_one_failed_identity_exits_one_after_every_record(self, capsys, monkeypatch):
+        verify = cli.verify_cosecant_sum
+
+        def fails_at_five(n):
+            report = verify(n)
+            return dataclasses.replace(report, holds=False) if n == 5 else report
+
+        monkeypatch.setattr(cli, "verify_cosecant_sum", fails_at_five)
+        code, out, _ = run(capsys, "verify-identity", "--n-max", "9")
+        assert code == 1
+        assert [(r["n"], r["holds"]) for r in json_lines(out)] == [
+            (3, True), (5, False), (7, True), (9, True),
+        ]
+        code, out, _ = run(capsys, "verify-identity", "--n-max", "9", "--output", "text")
+        assert code == 1
+        assert out.splitlines()[1] == "FAIL n=5: 8/1 vs 8/1"
+
+    def test_refuted_fit_exits_one_with_its_record(self, capsys, monkeypatch):
+        fit = conj.conjecture_power_formula
+        monkeypatch.setattr(
+            conj,
+            "conjecture_power_formula",
+            lambda m, train, holdout: dataclasses.replace(fit(m, train, holdout), confirmed=False),
+        )
+        code, out, _ = run(capsys, "conjecture", "--m", "1", "--train", "3,5,7", "--holdout", "9,11")
+        assert code == 1
+        (row,) = json_lines(out)
+        assert row["confirmed"] is False and row["formula"] == ["-1/6", "0/1", "1/6"]
+        code, out, _ = run(
+            capsys, "conjecture", "--m", "1", "--train", "3,5,7", "--holdout", "9,11",
+            "--output", "text",
+        )
+        assert code == 1
+        assert out == "REFUTED m=1: RatPoly('1/6x^2 - 1/6')\n"
+
+    def test_numeric_failure_mid_sweep_keeps_the_records_before_it(self, capsys, monkeypatch):
+        make = cli.make_knots
+
+        def too_close_at_four(family, n, bits, **params):
+            if n == 4:
+                raise KnotSpacingError("knots too close at n = 4")
+            return make(family, n, bits, **params)
+
+        monkeypatch.setattr(cli, "make_knots", too_close_at_four)
+        code, out, err = run(capsys, "verify-eq1", "--n-max", "5")
+        assert code == 3
+        assert [(r["n"], r["p"]) for r in json_lines(out)] == [(2, 1), (2, 2), (3, 1), (3, 2)]
+        assert err == "error: knots too close at n = 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "conjecture --family equispaced --p 2 --n-list 3,,5",
+        "conjecture --family equispaced --p 2 --n-list ,3",
+        "conjecture --m 1 --train 3,5,7, --holdout 9,11",
+        "conjecture --m 1 --train 3,5,7 --holdout 9,11,",
+    ],
+)
+def test_empty_integer_list_entry_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "not a comma-separated integer list" in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("make_knots", "knots --family chebyshev1 --n 3"),
+        ("hermite_fejer_basis", "verify-eq1 --family chebyshev2 --n 3 --p-max 1"),
+        ("verify_cosecant_sum", "verify-identity --n 3"),
+        ("inverse_power_sum", "power-sum --n 3"),
+    ],
+)
+def test_handlers_look_up_the_library_as_module_globals(capsys, monkeypatch, name, argv):
+    # the bench tracer rebinds these names on the cli module; a handler that
+    # held its own reference would hide that layer's time from it
+    calls = []
+    original = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    code, out, _ = run(capsys, *argv.split(), "--precision-bits", "64")
+    assert code == 0 and out
+    assert len(calls) >= 1
+
+
 class TestForeignOptions:
     """An option of the other conjecture mode, or a knot parameter of another
     family, is a usage error: exit 2, no stdout, one error line."""
@@ -463,6 +608,7 @@ GOLDEN_WITHOUT_RESIDUALS = {
     "verify_eq1_gauss_jacobi": "b4c4937f6518de53b22f09a19b77e4e431466dd0b98f1bb91109ad011e72550b",
     "verify_eq1_equispaced_512": "ce3184748440addbac198941022318788b49e0505f2f3cb55fa2e3025fd4b196",
     "verify_eq1_chebyshev2_n47_512": "03fbffae751db6f16ec83dfab1ef95272c701b9c8bb1e84b6765d078030a3df9",
+    "verify_eq1_chebyshev1_n7": "85a80c8ccb7e9af18855c837db75077e2e00292dabf6ab2bde443493963f393b",
 }
 
 
