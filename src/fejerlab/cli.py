@@ -55,8 +55,10 @@ class UsageError(ValueError):
 # handler, precision_bits (>= 64, default 256 or the environment override),
 # n / n_max, p / p_max, the y0 list, family with its parameters, and the
 # output mode.
-# The CLI checks how the options combine; the library checks the values it
-# is handed.  Both raise before the first record is printed.
+# The CLI checks how the options combine, and raises before the first record
+# is printed.  The library checks the values it is handed as each n of a sweep
+# comes to it, so a value it rejects only at a later n (explore's
+# --n-list 3,1) ends the stream there, after the earlier records, with exit 2.
 
 
 def _fraction(text: str) -> Fraction:
@@ -205,20 +207,17 @@ def _conjecture_explore(args) -> Records:
         raise UsageError("explore mode needs --p and --n-list")
     if args.y0 and len(args.y0) > 1:
         raise UsageError("explore mode takes at most one --y0")
+    if len(set(args.n_list)) != len(args.n_list):
+        raise UsageError(f"n_list entries must be distinct, got {args.n_list}")
     y0 = args.y0[0] if args.y0 else Fraction(0)
+    y0_point = ApFloat(y0, args.precision_bits)
+    params = _knot_params(args)
     # explore_knot_family owns the default; pass the bound only when given
     given = {} if args.max_denominator is None else {"max_denominator": args.max_denominator}
-    findings = conj.explore_knot_family(
-        args.family,
-        _knot_params(args),
-        args.p,
-        ApFloat(y0, args.precision_bits),
-        args.n_list,
-        args.precision_bits,
-        **given,
-    )
-    # findings alternate per n: the off-nearest aggregate, then the nearest knot's term
-    for n, aggregate, nearest in zip(args.n_list, findings[::2], findings[1::2]):
+    for n in args.n_list:
+        aggregate, nearest = conj.explore_knot_family(
+            args.family, params, args.p, y0_point, n, args.precision_bits, **given
+        )
         for part, rec in (("offcenter_aggregate", aggregate), ("nearest_knot_term", nearest)):
             obj = {
                 "family": args.family,

@@ -12,6 +12,11 @@ Two tools, both deliberately conservative:
   small rational candidate, then insists the source quantity recomputed at
   twice the precision still matches.  Two independent gates make accidental
   confirmations astronomically unlikely.
+
+explore_knot_family applies rational_reconstruct to the (E1) derivative sum
+at one n of a knot family, split into its nearest-knot term and the rest;
+a sweep over n is the caller's loop, so each n's findings are ready as soon
+as that n is done.
 """
 from __future__ import annotations
 
@@ -176,30 +181,26 @@ def explore_knot_family(
     params: dict | None,
     p: int,
     y0: ApFloat,
-    n_list: Sequence[int],
+    n: int,
     precision_bits: int,
     max_denominator: int = 10 ** 6,
-) -> list[Recognition]:
-    """Hunt for rational structure in derivative sums over a knot family.
+) -> tuple[Recognition, Recognition]:
+    """Hunt for rational structure in the derivative sum at n knots of a family.
 
-    For each n the h_i^(p)(y0) terms are split into the structurally special
-    one (the knot nearest y0) and the aggregate of the rest, and each part is
-    offered to rational_reconstruct with a genuine doubled-precision rebuild
-    as its confirmation.  Results come in n order, off-nearest aggregate
-    first, then the nearest-knot term; nothing is asserted about them beyond
-    honest confirmation flags.  n_list may not repeat an n.
+    The h_i^(p)(y0) terms are split into the structurally special one (the
+    knot nearest y0) and the aggregate of the rest, and each part is offered
+    to rational_reconstruct with a genuine doubled-precision rebuild as its
+    confirmation.  Returns (aggregate, nearest); nothing is asserted about
+    them beyond honest confirmation flags.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if len(set(n_list)) != len(n_list):
-        raise ValueError(f"n_list entries must be distinct, got {list(n_list)}")
-    params = dict(params or {})
-    y0_exact = y0.to_fraction()
-    findings: list[Recognition] = []
-    for n in n_list:
-        # Both parts confirm at the same doubled precision: build it once.
-        parts = functools.cache(functools.partial(_aggregate_terms, family, params, p, y0_exact, n))
-        rest, nearest = parts(precision_bits)
-        findings.append(rational_reconstruct(rest, max_denominator, lambda bits: parts(bits)[0]))
-        findings.append(rational_reconstruct(nearest, max_denominator, lambda bits: parts(bits)[1]))
-    return findings
+    # Both parts confirm at the same doubled precision: build it once.
+    parts = functools.cache(
+        functools.partial(_aggregate_terms, family, params or {}, p, y0.to_fraction(), n)
+    )
+    rest, nearest = parts(precision_bits)
+    return (
+        rational_reconstruct(rest, max_denominator, lambda bits: parts(bits)[0]),
+        rational_reconstruct(nearest, max_denominator, lambda bits: parts(bits)[1]),
+    )

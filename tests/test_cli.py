@@ -298,7 +298,7 @@ class TestConjectureCommand:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: n_list entries must be distinct, got [3, 3]\n"
 
     def test_explore_mode_rejects_a_second_y0(self, capsys):
         code, out, err = run(
@@ -309,6 +309,45 @@ class TestConjectureCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_explore_mode_yields_each_n_before_the_next_is_built(self, monkeypatch):
+        built = []
+        make = conj.make_knots
+
+        def recording(family, n, bits, **params):
+            built.append(n)
+            return make(family, n, bits, **params)
+
+        monkeypatch.setattr(conj, "make_knots", recording)
+        args = cli.build_parser(64).parse_args(
+            ["conjecture", "--family", "chebyshev1", "--p", "2", "--n-list", "3,5"]
+        )
+        records = args.handler(args)
+        first, _, _ = next(records)
+        assert (first["n"], first["part"]) == (3, "offcenter_aggregate")
+        assert set(built) == {3}
+        assert [r["n"] for r, _, _ in records] == [3, 5, 5]
+        assert set(built) == {3, 5}
+
+    def test_explore_mode_calls_the_library_once_per_n(self, capsys, monkeypatch):
+        # bench/tracing.py times each call as one explore span and reads the
+        # precision from positional argument 5
+        calls = []
+        explore = conj.explore_knot_family
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(conj, "explore_knot_family", recording)
+        code, out, _ = run(
+            capsys,
+            "conjecture", "--family", "chebyshev1", "--p", "2", "--n-list", "3,5,7",
+            "--precision-bits", "64",
+        )
+        assert code == 0 and len(json_lines(out)) == 6
+        assert [a[4] for a in calls] == [3, 5, 7]
+        assert [a[5] for a in calls] == [64, 64, 64]
 
 
 class TestRecordContract:
@@ -412,6 +451,38 @@ class TestRecordContract:
         assert code == 3
         assert [(r["n"], r["p"]) for r in json_lines(out)] == [(2, 1), (2, 2), (3, 1), (3, 2)]
         assert err == "error: knots too close at n = 4\n"
+
+    def test_numeric_failure_mid_explore_keeps_the_records_before_it(self, capsys, monkeypatch):
+        make = conj.make_knots
+
+        def too_close_at_seven(family, n, bits, **params):
+            if n == 7:
+                raise KnotSpacingError("knots too close at n = 7")
+            return make(family, n, bits, **params)
+
+        monkeypatch.setattr(conj, "make_knots", too_close_at_seven)
+        code, out, err = run(
+            capsys,
+            "conjecture", "--family", "chebyshev1", "--p", "2", "--n-list", "3,5,7",
+            "--precision-bits", "64",
+        )
+        assert code == 3
+        assert [(r["n"], r["part"]) for r in json_lines(out)] == [
+            (3, "offcenter_aggregate"), (3, "nearest_knot_term"),
+            (5, "offcenter_aggregate"), (5, "nearest_knot_term"),
+        ]
+        assert err == "error: knots too close at n = 7\n"
+
+    def test_a_value_rejected_at_a_later_n_keeps_the_records_before_it(self, capsys):
+        # the library checks each n as it comes to it; n = 1 has no equispaced set
+        code, out, err = run(
+            capsys, "conjecture", "--family", "equispaced", "--p", "2", "--n-list", "3,1",
+        )
+        assert code == 2
+        assert [(r["n"], r["part"]) for r in json_lines(out)] == [
+            (3, "offcenter_aggregate"), (3, "nearest_knot_term"),
+        ]
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -189,14 +189,9 @@ class TestIntegerConvergents:
 class TestExploreKnotFamily:
     def test_chebyshev_offcenter_matches_exact_balance(self):
         bits = 192
-        findings = explore_knot_family(
-            "chebyshev1", None, 2, ApFloat(0, bits), [3, 5, 7], bits
-        )
-        assert len(findings) == 6
-        for idx, n in enumerate((3, 5, 7)):
+        for n in (3, 5, 7):
+            rest, nearest = explore_knot_family("chebyshev1", None, 2, ApFloat(0, bits), n, bits)
             off_exact, mid_exact = second_derivative_balance(n)
-            rest = findings[2 * idx]
-            nearest = findings[2 * idx + 1]
             assert rest.candidate == off_exact
             assert nearest.candidate == mid_exact
             assert rest.confirmed_at_bits == 2 * bits
@@ -204,28 +199,21 @@ class TestExploreKnotFamily:
     def test_gauss_jacobi_chebyshev_case_agrees(self):
         bits = 192
         params = {"alpha": F(-1, 2), "beta": F(-1, 2)}
-        findings = explore_knot_family("gauss_jacobi", params, 2, ApFloat(0, bits), [5], bits)
+        rest, nearest = explore_knot_family("gauss_jacobi", params, 2, ApFloat(0, bits), 5, bits)
         off_exact, mid_exact = second_derivative_balance(5)
-        assert findings[0].candidate == off_exact
-        assert findings[1].candidate == mid_exact
+        assert rest.candidate == off_exact
+        assert nearest.candidate == mid_exact
 
     def test_equispaced_output_is_well_formed(self):
         bits = 192
-        findings = explore_knot_family("equispaced", None, 2, ApFloat(0, bits), [5], bits)
-        assert len(findings) == 2
-        for rec in findings:
+        for rec in explore_knot_family("equispaced", None, 2, ApFloat(0, bits), 5, bits):
             assert rec.input.precision_bits == bits
             if rec.candidate is not None:
                 assert rec.confirmed_at_bits == 2 * bits
 
     def test_p_validated(self):
         with pytest.raises(ValueError):
-            explore_knot_family("chebyshev1", None, 0, ApFloat(0, 192), [3], 192)
-
-    def test_repeated_n_rejected(self):
-        # it would return the findings of n = 3 twice
-        with pytest.raises(ValueError):
-            explore_knot_family("chebyshev1", {}, 2, ApFloat(0, 192), [3, 3], 192)
+            explore_knot_family("chebyshev1", None, 0, ApFloat(0, 192), 3, 192)
 
     def test_each_precision_builds_one_basis_per_n(self, monkeypatch):
         builds = Counter()
@@ -237,8 +225,9 @@ class TestExploreKnotFamily:
 
         monkeypatch.setattr(conj_mod, "hermite_fejer_basis", counting)
         legendre = {"alpha": F(0), "beta": F(0)}
-        findings = explore_knot_family("gauss_jacobi", legendre, 2, ApFloat(0, 256), [3, 5], 256)
-        assert all(rec.confirmed_at_bits == 512 for rec in findings)
+        for n in (3, 5):
+            findings = explore_knot_family("gauss_jacobi", legendre, 2, ApFloat(0, 256), n, 256)
+            assert all(rec.confirmed_at_bits == 512 for rec in findings)
         assert builds == {256: 2, 512: 2}
 
 
