@@ -5,7 +5,7 @@ generators, Hermite-Fejer fundamental polynomials, zero-tolerance identity
 proofs, and a conjecture engine for new identities of the same family.
 """
 
-from .apnum import ApFloat, DomainError, NumPoly, cos, pi, sin, sqrt, to_apfloat
+from .apnum import ApFloat, NumPoly
 from .conjecture import (
     ConjectureReport,
     InsufficientTrainingPoints,
@@ -60,7 +60,6 @@ __all__ = [
     "ApFloat",
     "ConjectureReport",
     "ConvergenceFailure",
-    "DomainError",
     "DuplicateAbscissa",
     "FundamentalBasis",
     "IdentityReport",
@@ -79,7 +78,6 @@ __all__ = [
     "chebyshev_T",
     "chebyshev_closed_form",
     "conjecture_power_formula",
-    "cos",
     "derivative_extremes",
     "derivative_sum",
     "equispaced_knots",
@@ -92,14 +90,10 @@ __all__ = [
     "make_knots",
     "midpoint_second_derivative",
     "newton_power_sums",
-    "pi",
     "rational_interpolate",
     "rational_reconstruct",
     "scaled_tolerance",
     "second_derivative_balance",
-    "sin",
     "sin2_charpoly",
-    "sqrt",
-    "to_apfloat",
     "verify_cosecant_sum",
 ]

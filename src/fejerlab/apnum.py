@@ -1,61 +1,58 @@
 """Arbitrary-precision binary floating arithmetic with an explicit precision tag.
 
+The module holds three things: ApFloat, a binary float tagged with its
+precision; NumPoly, a dense polynomial of rounded coefficients; and the
+integer block kernel the Hermite-Fejer layer runs on.  It has no elementary
+functions: the knot generators call libmp's for themselves.
+
 Every value carries its working precision in bits (mantissa width, >= 64);
 arithmetic between two values runs at the larger of their precisions, with
 round-to-nearest-even.  ApFloat calls mpmath's low-level libmp kernels (on
 gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND), bypassing
 the global mpmath context: precision is per-value, never shared.  _RND is the
-one rounding mode of the package.  NumPoly holds rounded dense coefficients.
+one rounding mode of the package.  There is one way to round a number in,
+ApFloat(q, bits) for an int, a Fraction or an ApFloat, and one way to wrap a
+raw libmp value that is already rounded, ApFloat._wrap.
 
 The Hermite-Fejer basis, its jet and its dense coefficients do not run on
-them: libmp normalises after every operation, which costs several times the
-mantissa product.  They run on the integer block kernel below instead: exact
-(int, exponent) views of raw values, a common integer scale for a set of
-values, and _renorm, which rounds a block of ints sharing one exponent once.
+ApFloat operations: libmp normalises after every operation, which costs
+several times the mantissa product.  They run on the integer block kernel
+below instead: exact (int, exponent) views of raw values, a common integer
+scale for a set of values, and _renorm, which rounds a block of ints sharing
+one exponent once.
 
-The error model is a guard-bit budget, not interval arithmetic: elementary
-functions are good to ~1 ulp, a pipeline of k rounded operations is trusted
-to roughly k ulps, and a block costs one rounding per stage, not one per
-operation.  Exact claims never ride on this module; see the rational
-polynomial layer for those.
+The error model is a guard-bit budget, not interval arithmetic: a pipeline
+of k rounded operations is trusted to roughly k ulps, and a block costs one
+rounding per stage, not one per operation.  Exact claims never ride on this
+module; see the rational polynomial layer for those.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
 from mpmath.libmp import (
-    ComplexResult,
     from_int,
     from_rational,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_cmp,
-    mpf_cos,
     mpf_div,
     mpf_hash,
     mpf_mul,
     mpf_neg,
-    mpf_pi,
     mpf_pos,
-    mpf_shift,
-    mpf_sin,
-    mpf_sqrt,
     mpf_sub,
     repr_dps,
     round_nearest,
+    to_float,
     to_str,
 )
 
 MIN_PRECISION_BITS = 64
 
 _RND = round_nearest
-
-
-class DomainError(ValueError):
-    """Argument outside the real domain of the requested function."""
 
 
 def _check_precision(bits: int) -> int:
@@ -67,8 +64,10 @@ def _check_precision(bits: int) -> int:
 class ApFloat:
     """An arbitrary-precision binary float plus its precision in bits.
 
-    Construct from an int or a Fraction (correctly rounded), or combine
-    existing values with the usual operators.  Values are immutable.
+    Construct from an int, a Fraction or an ApFloat, correctly rounded to
+    precision_bits (a raw libmp tuple is refused: wrap one that is already
+    rounded with ApFloat._wrap), or combine existing values with the usual
+    operators.  Values are immutable.
     """
 
     __slots__ = ("raw", "precision_bits")
@@ -81,8 +80,6 @@ class ApFloat:
             raw = from_int(value, precision_bits, _RND)
         elif isinstance(value, Fraction):
             raw = from_rational(value.numerator, value.denominator, precision_bits, _RND)
-        elif isinstance(value, tuple) and len(value) == 4:
-            raw = value  # trusted libmp tuple, already rounded
         else:
             raise TypeError(f"cannot build ApFloat from {type(value).__name__}")
         object.__setattr__(self, "raw", raw)
@@ -110,13 +107,8 @@ class ApFloat:
             man = -man
         return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
 
-    @property
-    def mpf(self) -> mpmath.mpf:
-        """The same value as an mpmath.mpf (handy for interop and display)."""
-        return mpmath.mp.make_mpf(self.raw)
-
     def __float__(self) -> float:
-        return float(self.mpf)
+        return to_float(self.raw, rnd=_RND)
 
     def __str__(self) -> str:
         return to_str(self.raw, repr_dps(self.precision_bits))
@@ -138,7 +130,7 @@ class ApFloat:
         if o is None:
             return NotImplemented
         prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat(mpf_add(self.raw, o.raw, prec, _RND), prec)
+        return ApFloat._wrap(mpf_add(self.raw, o.raw, prec, _RND), prec)
 
     __radd__ = __add__
 
@@ -147,7 +139,7 @@ class ApFloat:
         if o is None:
             return NotImplemented
         prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat(mpf_sub(self.raw, o.raw, prec, _RND), prec)
+        return ApFloat._wrap(mpf_sub(self.raw, o.raw, prec, _RND), prec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -160,7 +152,7 @@ class ApFloat:
         if o is None:
             return NotImplemented
         prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat(mpf_mul(self.raw, o.raw, prec, _RND), prec)
+        return ApFloat._wrap(mpf_mul(self.raw, o.raw, prec, _RND), prec)
 
     __rmul__ = __mul__
 
@@ -169,7 +161,7 @@ class ApFloat:
         if o is None:
             return NotImplemented
         prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat(mpf_div(self.raw, o.raw, prec, _RND), prec)
+        return ApFloat._wrap(mpf_div(self.raw, o.raw, prec, _RND), prec)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -178,14 +170,10 @@ class ApFloat:
         return o / self
 
     def __neg__(self) -> "ApFloat":
-        return ApFloat(mpf_neg(self.raw), self.precision_bits)
+        return ApFloat._wrap(mpf_neg(self.raw), self.precision_bits)
 
     def __abs__(self) -> "ApFloat":
-        return ApFloat(mpf_abs(self.raw), self.precision_bits)
-
-    def scale2(self, k: int) -> "ApFloat":
-        """Multiply by 2^k exactly (no rounding)."""
-        return ApFloat(mpf_shift(self.raw, k), self.precision_bits)
+        return ApFloat._wrap(mpf_abs(self.raw), self.precision_bits)
 
     def is_zero(self) -> bool:
         return self.raw == fzero
@@ -259,41 +247,17 @@ def _renorm(coeffs: list[int], E: int, bits: int) -> tuple[list[int], int]:
     return [(c + half) >> b for c in coeffs], E + b
 
 
-def to_apfloat(q: Fraction | int, precision_bits: int) -> ApFloat:
-    """Correctly rounded conversion of an exact rational."""
-    return ApFloat(q if isinstance(q, (Fraction, int)) else Fraction(q), precision_bits)
-
-
-def pi(precision_bits: int) -> ApFloat:
-    """pi to the requested precision (relative error <= 2^(1-bits))."""
-    _check_precision(precision_bits)
-    return ApFloat(mpf_pi(precision_bits, _RND), precision_bits)
-
-
-def cos(x: ApFloat) -> ApFloat:
-    return ApFloat(mpf_cos(x.raw, x.precision_bits, _RND), x.precision_bits)
-
-
-def sin(x: ApFloat) -> ApFloat:
-    return ApFloat(mpf_sin(x.raw, x.precision_bits, _RND), x.precision_bits)
-
-
-def sqrt(x: ApFloat) -> ApFloat:
-    """Square root; raises DomainError for negative input."""
-    try:
-        return ApFloat(mpf_sqrt(x.raw, x.precision_bits, _RND), x.precision_bits)
-    except ComplexResult:
-        raise DomainError("sqrt of a negative value") from None
-
-
 class NumPoly:
     """Dense polynomial with ApFloat coefficients sharing one precision.
 
-    The container FundamentalBasis.h returns: coefficients, degree, and the
-    coefficient-wise + and - that compare two constructions, at the carried
-    precision.  No fejerlab code multiplies or evaluates one; the product and
-    Horner evaluation stay as numeric references for the tests.  Exact-zero
-    leading coefficients are trimmed; nothing is ever trimmed by threshold.
+    The container both dense constructions return (FundamentalBasis.h and
+    chebyshev_closed_form): coefficients, degree, and the coefficient-wise +
+    and - that compare them, at the carried precision.  Build one from exact
+    coefficients with NumPoly(poly.coeffs, bits).  No fejerlab code
+    multiplies or evaluates one; the product and Horner evaluation stay
+    because the benchmark's tracer patches them by name and the tests use
+    them as numeric references.  Exact-zero leading coefficients are trimmed;
+    nothing is ever trimmed by threshold.
     """
 
     __slots__ = ("_raw", "precision_bits")
@@ -318,21 +282,16 @@ class NumPoly:
     def __setattr__(self, name, value):
         raise AttributeError("NumPoly is immutable")
 
-    @classmethod
-    def from_ratpoly(cls, poly, precision_bits: int) -> "NumPoly":
-        """Round each exact rational coefficient to the target precision."""
-        return cls(list(poly.coeffs), precision_bits)
-
     @property
     def degree(self) -> int:
         return len(self._raw) - 1
 
     def coefficient(self, k: int) -> ApFloat:
         raw = self._raw[k] if 0 <= k < len(self._raw) else fzero
-        return ApFloat(raw, self.precision_bits)
+        return ApFloat._wrap(raw, self.precision_bits)
 
     def coefficients(self) -> list[ApFloat]:
-        return [ApFloat(c, self.precision_bits) for c in self._raw]
+        return [ApFloat._wrap(c, self.precision_bits) for c in self._raw]
 
     def _unify(self, other: "NumPoly") -> int:
         return max(self.precision_bits, other.precision_bits)
@@ -375,7 +334,7 @@ class NumPoly:
         acc = fzero
         for c in reversed(self._raw):
             acc = mpf_add(mpf_mul(acc, x.raw, prec, _RND), c, prec, _RND)
-        return ApFloat(acc, prec)
+        return ApFloat._wrap(acc, prec)
 
     def __repr__(self) -> str:
         cs = ", ".join(str(self.coefficient(k)) for k in range(len(self._raw)))

@@ -22,11 +22,12 @@ derivative_extremes reads every requested order from one jet, so
 verify-eq1, which checks p = 1..p_max at one y0, builds one jet per (n, y0).
 The dense coefficients of the h_i, which the tests compare, come from the
 same engine: the jet at 0 truncated at 2n-1 holds every [x^p] h_i.  On
-Chebyshev knots the closed form above is an independent construction, run
-on integers; the two must agree.  Nothing is stored between calls.  A
-basis is a pure function of its knot set and is cached, bounded like the
-knot sets, which every family caches too, so a caller that repeats a knot
-set builds the set and its basis once.
+Chebyshev knots chebyshev_closed_form(n, bits) is the independent
+construction: it builds them from the closed form above, on integers, and
+the two must agree.  Nothing is stored between calls.  A basis is a pure
+function of its knot set and is cached, bounded like the knot sets, which
+every family caches too, so a caller that repeats a knot set builds the set
+and its basis once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -75,13 +76,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from mpmath.libmp import fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_shift
 
-from .apnum import _RND, ApFloat, NumPoly, _common_scale, _man_exp, _renorm, max_abs
+from .apnum import _RND, ApFloat, NumPoly, _check_precision, _common_scale, _man_exp, _renorm, max_abs
 from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
 from .ratpoly import chebyshev_T
 
@@ -111,17 +112,18 @@ class FundamentalBasis:
 
     weights and slopes hold w_i and s_i, rounded to the working precision,
     as the integer pairs (m, e) with value m 2^e that the kernel reads; they
-    are all that evaluation needs.  h, the dense coefficients, is built from
-    the construction's own formula on every read and never stored, so a
-    cached basis holds O(n) numbers whoever reads it.  Nothing else is
-    stored, so a basis can be shared between threads: hermite_fejer_basis
-    hands one cached basis to every caller with an equal knot set.
+    are all that evaluation needs.  h, the dense coefficients, is read from
+    the Taylor jet on every read and never stored, so a cached basis holds
+    O(n) numbers whoever reads it.  There is no construction tag: the
+    Chebyshev closed form is a separate function, chebyshev_closed_form.
+    Nothing else is stored, so a basis can be shared between threads:
+    hermite_fejer_basis hands one cached basis to every caller with an equal
+    knot set.
     """
 
     knots: KnotSet
     weights: tuple[tuple[int, int], ...]
     slopes: tuple[tuple[int, int], ...]
-    construction: str
 
     @property
     def n(self) -> int:
@@ -140,11 +142,14 @@ class FundamentalBasis:
 
     @property
     def h(self) -> tuple[NumPoly, ...]:
-        """Dense coefficients of every h_i, each rounded once to the working
-        precision: O(n^2) numbers built afresh on each read."""
-        if self.construction == "chebyshev_closed_form":
-            return _closed_form_h(self.knots)
-        return _jet_h(self)
+        """Dense coefficients of every h_i from one Taylor jet at 0, truncated
+        at 2n-1: [x^p] h_i is [t^p] h_i(0 + t), the exact pair that row p
+        holds, rounded once to the working precision.  O(n^2) numbers, built
+        afresh on each read.  There is no construction tag to switch this:
+        on any knots it is the jet's readout."""
+        n, wp = self.n, self.working_precision_bits
+        rows = _rows(self, _jet(self, 2 * n - 1, ApFloat(0, self.precision_bits)), range(2 * n))
+        return tuple(NumPoly([from_man_exp(v, e, wp, _RND) for v, e in col], wp) for col in zip(*rows))
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
@@ -176,14 +181,7 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
         g0, g1 = from_man_exp(g0, E), from_man_exp(g1, E)
         weights.append(_man_exp(mpf_div(fone, g0, wp, _RND)))
         slopes.append(_man_exp(mpf_div(g1, g0, wp, _RND)))
-    return FundamentalBasis(knots, tuple(weights), tuple(slopes), "general")
-
-
-def chebyshev_closed_form(n: int, precision_bits: int) -> FundamentalBasis:
-    """Chebyshev-knot basis whose dense h_i come from the closed form
-    (1/n^2) [T_n/(x - x_i)]^2 (1 - x x_i)."""
-    basis = hermite_fejer_basis(chebyshev1_knots(n, precision_bits))
-    return replace(basis, construction="chebyshev_closed_form")
+    return FundamentalBasis(knots, tuple(weights), tuple(slopes))
 
 
 def _times_factor(block: tuple, d: int, L: int, bits: int) -> tuple:
@@ -266,16 +264,10 @@ def _square_coeff(g: list[int], k: int) -> int:
     return 2 * half + (g[k // 2] ** 2 if k % 2 == 0 else 0)
 
 
-def _jet_h(basis: FundamentalBasis) -> tuple[NumPoly, ...]:
-    """Dense h_i from one Taylor jet at 0, truncated at 2n-1: [x^p] h_i is
-    [t^p] h_i(0 + t), the exact pair that row p holds."""
-    n, wp = basis.n, basis.working_precision_bits
-    rows = _rows(basis, _jet(basis, 2 * n - 1, ApFloat(0, basis.precision_bits)), range(2 * n))
-    return tuple(NumPoly([from_man_exp(v, e, wp, _RND) for v, e in col], wp) for col in zip(*rows))
-
-
-def _closed_form_h(knots: KnotSet) -> tuple[NumPoly, ...]:
-    """Dense h_i = (1/n^2) [T_n/(x - x_i)]^2 (1 - x x_i) on integers.
+def chebyshev_closed_form(n: int, precision_bits: int) -> tuple[NumPoly, ...]:
+    """Dense h_i = (1/n^2) [T_n/(x - x_i)]^2 (1 - x x_i) on the Chebyshev
+    knots chebyshev1_knots(n, precision_bits), at the working precision of a
+    basis on them: a construction independent of the jet, run on integers.
 
     With x_i = X_i 2^-L, P(u) = 2^(Ln) T_n(u 2^-L) has integer coefficients
     c_k 2^(L(n-k)), and its quotient by (u - X_i), found exactly by
@@ -287,7 +279,8 @@ def _closed_form_h(knots: KnotSet) -> tuple[NumPoly, ...]:
     is divided by n^2 in one rounding.  Dividing out a rounded root drops the
     remainder T_n(x_i), which is ~0.
     """
-    n, wp = knots.n, _guarded_precision(knots)
+    knots = chebyshev1_knots(n, precision_bits)
+    wp = _guarded_precision(knots)
     bits = wp + _BLOCK_GUARD_BITS
     xs, L = _common_scale([x.raw for x in knots.points])
     c = [int(a) for a in chebyshev_T(n).coeffs]
@@ -397,6 +390,7 @@ def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:
     grow with n while the sum cancels, so absolute comparison would be
     meaningless.
     """
+    _check_precision(precision_bits)
     m = max_abs(values)
     scale = fone if m is None or mpf_cmp(m.raw, fone) < 0 else m.raw
-    return ApFloat(mpf_shift(scale, 40 - precision_bits), precision_bits)
+    return ApFloat._wrap(mpf_shift(scale, 40 - precision_bits), precision_bits)

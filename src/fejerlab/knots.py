@@ -110,7 +110,7 @@ def _cosine_knots(family: str, n: int, precision_bits: int, num, den: int) -> Kn
         raise ValueError("n must be >= 1")
     wp = precision_bits + 8
     half = [
-        ApFloat(mpf_pos(_cos_pi(num(i), den, wp), precision_bits, _RND), precision_bits)
+        ApFloat._wrap(mpf_pos(_cos_pi(num(i), den, wp), precision_bits, _RND), precision_bits)
         for i in range(1, n // 2 + 1)
     ]
     middle = [ApFloat(0, precision_bits)] * (n % 2)
@@ -367,7 +367,7 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
         # P_n has the parity of n: mirror the positive half, around 0 for odd n.
         roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots
     _certify(steps, roots, wp)
-    points = tuple(ApFloat(from_man_exp(r, -wp, precision_bits, _RND), precision_bits) for r in roots)
+    points = tuple(ApFloat._wrap(from_man_exp(r, -wp, precision_bits, _RND), precision_bits) for r in roots)
     return KnotSet(
         family="gauss_jacobi",
         n=n,

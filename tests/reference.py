@@ -51,12 +51,12 @@ def jacobi_eval(n: int, alpha: Fraction, beta: Fraction, x: ApFloat) -> tuple[Ap
                 _RND,
             ),
         )
-    return ApFloat(value, wp), ApFloat(deriv, wp)
+    return ApFloat._wrap(value, wp), ApFloat._wrap(deriv, wp)
 
 
 def pow2(k: int, precision_bits: int) -> ApFloat:
     """The exact power 2^k as an ApFloat (used for tolerances)."""
-    return ApFloat(mpf_shift(from_int(1), k), precision_bits)
+    return ApFloat._wrap(mpf_shift(from_int(1), k), precision_bits)
 
 
 def rational_interpolate(points) -> RatPoly:

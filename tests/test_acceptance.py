@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import fejerlab.cli as cli
-from fejerlab.apnum import ApFloat, to_apfloat
+from fejerlab.apnum import ApFloat
 from fejerlab.conjecture import conjecture_power_formula
 from fejerlab.hermite import (
     chebyshev_closed_form,
@@ -56,7 +56,7 @@ def residual_grid():
                 basis = hermite_fejer_basis(make_knots(family, n, bits, **kwargs))
                 for p in GRID_P:
                     for y0 in GRID_Y0:
-                        residual, terms = derivative_sum(basis, p, to_apfloat(y0, bits))
+                        residual, terms = derivative_sum(basis, p, ApFloat(y0, bits))
                         tol = scaled_tolerance(terms, bits)
                         results[(family, n, p, y0, bits)] = (
                             abs(residual).to_fraction(),
@@ -116,7 +116,7 @@ def test_criterion_5_construction_equivalence():
     for n in range(1, 41):
         general = hermite_fejer_basis(chebyshev1_knots(n, 256))
         closed = chebyshev_closed_form(n, 256)
-        for hg, hc in zip(general.h, closed.h):
+        for hg, hc in zip(general.h, closed):
             coeffs = hg.coefficients() + hc.coefficients()
             tol = scaled_tolerance(coeffs, 256).to_fraction()
             diff = hg - hc
@@ -133,7 +133,7 @@ def _chebyshev_spot_and_symmetry(bits: int) -> bool:
     _, terms = derivative_sum(basis, 2, ApFloat(0, bits))
     tol = scaled_tolerance(terms, bits)
     ok = all(
-        abs(t - to_apfloat(e, bits)) <= tol
+        abs(t - ApFloat(e, bits)) <= tol
         for t, e in zip(terms, (F(8, 3), F(-16, 3), F(8, 3)))
     )
     for n in range(3, 40, 2):
@@ -171,7 +171,7 @@ def test_criterion_7_conjecture_engine():
 
 
 def test_criterion_8_knot_cross_validation():
-    tol = to_apfloat(F(1, 2 ** 216), 256)
+    tol = ApFloat(F(1, 2 ** 216), 256)
     worst = 0.0
     ok = True
     for n in range(1, 41):

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fejerlab.conjecture as conj_mod
-from fejerlab.apnum import ApFloat, pi, to_apfloat
+from mpmath.libmp import mpf_pi, round_nearest
+
+from fejerlab.apnum import ApFloat
 from fejerlab.conjecture import (
     InsufficientTrainingPoints,
     _convergents,
@@ -65,7 +67,7 @@ class TestPowerFormula:
 
 def exact(q):
     """An honest recompute for an exactly known rational source quantity."""
-    return lambda bits: to_apfloat(q, bits)
+    return lambda bits: ApFloat(q, bits)
 
 
 class TestRationalReconstruct:
@@ -74,33 +76,36 @@ class TestRationalReconstruct:
 
         def recompute(bits):
             asked.append(bits)
-            return to_apfloat(F(8, 3), bits)
+            return ApFloat(F(8, 3), bits)
 
-        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 10 ** 6, recompute)
+        rec = rational_reconstruct(ApFloat(F(8, 3), 256), 10 ** 6, recompute)
         assert rec.candidate == F(8, 3)
         assert rec.confirmed_at_bits == 512
         assert asked == [512]
 
     def test_recompute_is_required(self):
         with pytest.raises(TypeError):
-            rational_reconstruct(to_apfloat(F(8, 3), 256), 10 ** 6)
+            rational_reconstruct(ApFloat(F(8, 3), 256), 10 ** 6)
 
     def test_pi_yields_nothing(self):
-        rec = rational_reconstruct(pi(256), 10 ** 6, pi)
+        def pi_at(bits):
+            return ApFloat._wrap(mpf_pi(bits, round_nearest), bits)
+
+        rec = rational_reconstruct(pi_at(256), 10 ** 6, pi_at)
         assert rec.candidate is None and rec.confirmed_at_bits is None
 
     def test_large_rational(self):
         # (99^2 - 1)/3 = 9800/3
         q = F(99 ** 2 - 1, 3)
-        rec = rational_reconstruct(to_apfloat(q, 256), 10 ** 6, exact(q))
+        rec = rational_reconstruct(ApFloat(q, 256), 10 ** 6, exact(q))
         assert rec.candidate == F(9800, 3)
 
     def test_denominator_cap_respected(self):
-        rec = rational_reconstruct(to_apfloat(F(8, 3), 256), 2, exact(F(8, 3)))
+        rec = rational_reconstruct(ApFloat(F(8, 3), 256), 2, exact(F(8, 3)))
         assert rec.candidate is None
 
     def test_negative_value(self):
-        rec = rational_reconstruct(to_apfloat(F(-16, 3), 256), 10 ** 6, exact(F(-16, 3)))
+        rec = rational_reconstruct(ApFloat(F(-16, 3), 256), 10 ** 6, exact(F(-16, 3)))
         assert rec.candidate == F(-16, 3)
 
     def test_zero(self):
@@ -109,18 +114,18 @@ class TestRationalReconstruct:
 
     def test_failed_confirmation_clears_candidate(self):
         # the recompute disagrees with the accepted convergent -> no candidate
-        x = to_apfloat(F(8, 3), 256)
-        drifted = lambda bits: to_apfloat(F(8, 3) + F(1, 2 ** 100), bits)
+        x = ApFloat(F(8, 3), 256)
+        drifted = lambda bits: ApFloat(F(8, 3) + F(1, 2 ** 100), bits)
         rec = rational_reconstruct(x, 10 ** 6, recompute=drifted)
         assert rec.candidate is None
 
     def test_confirmation_tightness_invariant(self):
         # never confirm when recomputation moves more than 2^-bits relative
-        x = to_apfloat(F(22, 7), 128)
-        rec = rational_reconstruct(x, 10 ** 6, recompute=lambda bits: to_apfloat(F(22, 7), bits))
+        x = ApFloat(F(22, 7), 128)
+        rec = rational_reconstruct(x, 10 ** 6, recompute=lambda bits: ApFloat(F(22, 7), bits))
         assert rec.candidate == F(22, 7)
         bad = rational_reconstruct(
-            x, 10 ** 6, recompute=lambda bits: to_apfloat(F(22, 7) + F(1, 2 ** 64), bits)
+            x, 10 ** 6, recompute=lambda bits: ApFloat(F(22, 7) + F(1, 2 ** 64), bits)
         )
         assert bad.candidate is None
 
@@ -158,13 +163,13 @@ BITS_DRAWN = st.sampled_from([64, 128, 256])
 # random dyadics, and roundings of small rationals (which the window accepts)
 DYADICS = st.one_of(
     st.builds(
-        lambda m, e, bits: to_apfloat(F(m) * F(2) ** e, bits),
+        lambda m, e, bits: ApFloat(F(m) * F(2) ** e, bits),
         st.integers(-(2 ** 300), 2 ** 300),
         st.integers(-400, 40),
         BITS_DRAWN,
     ),
     st.builds(
-        lambda h, k, bits: to_apfloat(F(h, k), bits),
+        lambda h, k, bits: ApFloat(F(h, k), bits),
         st.integers(-(10 ** 7), 10 ** 7),
         st.integers(1, 10 ** 7),
         BITS_DRAWN,

@@ -10,7 +10,7 @@ import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
 import fejerlab.knots as knots_mod
-from fejerlab.apnum import ApFloat, NumPoly, max_abs, to_apfloat
+from fejerlab.apnum import ApFloat, NumPoly, max_abs
 from fejerlab.hermite import (
     LengthMismatch,
     _jet,
@@ -147,24 +147,23 @@ class TestHermiteFejerBasis:
 
 class TestClosedForm:
     def test_n1_constant(self):
-        basis = chebyshev_closed_form(1, BITS)
-        assert basis.h[0].degree == 0
-        assert abs(basis.h[0].coefficient(0) - 1) <= pow2(-240, BITS)
+        (h,) = chebyshev_closed_form(1, BITS)
+        assert h.degree == 0
+        assert abs(h.coefficient(0) - 1) <= pow2(-240, BITS)
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_agrees_with_general_construction(self, n):
         general = hermite_fejer_basis(chebyshev1_knots(n, BITS))
         closed = chebyshev_closed_form(n, BITS)
-        assert closed.construction == "chebyshev_closed_form"
-        for hg, hc in zip(general.h, closed.h):
+        for hg, hc in zip(general.h, closed):
             tol = coeff_tolerance([hg, hc])
             diff = hg - hc
             assert all(abs(c) <= tol for c in diff.coefficients())
 
     def test_partition_of_unity_at_random_point(self):
-        basis = chebyshev_closed_form(8, BITS)
-        x = to_apfloat(F(4179, 10000), BITS).to_fraction()
-        total = sum(exact(h).evaluate(x) for h in basis.h)
+        hs = chebyshev_closed_form(8, BITS)
+        x = ApFloat(F(4179, 10000), BITS).to_fraction()
+        total = sum(exact(h).evaluate(x) for h in hs)
         assert abs(total - 1) <= pow2(40 - BITS, BITS).to_fraction()
 
 
@@ -205,17 +204,16 @@ class TestDenseCoefficients:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_closed_form_construction(self, n):
-        basis = chebyshev_closed_form(n, BITS)
-        self._assert_exact(basis.h, basis.knots)
+        self._assert_exact(chebyshev_closed_form(n, BITS), chebyshev1_knots(n, BITS))
 
 
 class TestInterpolate:
     def test_constants_are_reproduced(self):
         basis = hermite_fejer_basis(chebyshev1_knots(6, BITS))
-        c = to_apfloat(F(22, 7), BITS)
+        c = ApFloat(F(22, 7), BITS)
         values = [c] * 6
         for xq in (F(0), F(3, 10), F(-9, 10), F(2)):
-            out = interpolate(basis, values, to_apfloat(xq, BITS))
+            out = interpolate(basis, values, ApFloat(xq, BITS))
             assert abs(out - c) <= abs(c) * pow2(40 - BITS, BITS)
 
     def test_knot_values_are_reproduced(self):
@@ -230,7 +228,7 @@ class TestInterpolate:
         # sum h_i(x) x_i vs assembling the polynomial sum h_i * x_i first
         knots = chebyshev1_knots(5, BITS)
         basis = hermite_fejer_basis(knots)
-        x = to_apfloat(F(3, 10), BITS)
+        x = ApFloat(F(3, 10), BITS)
         direct = interpolate(basis, list(knots.points), x)
         assembled = RatPoly()
         for h, xi in zip(basis.h, knots.points):
@@ -263,7 +261,7 @@ class TestDerivativeSum:
     @pytest.mark.parametrize("p", [12, 20])
     def test_beyond_degree_all_zero(self, p):
         basis = hermite_fejer_basis(chebyshev1_knots(3, BITS))  # deg <= 5
-        residual, terms = derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
+        residual, terms = derivative_sum(basis, p, ApFloat(F(3, 10), BITS))
         assert residual.is_zero()
         assert all(t.is_zero() for t in terms)
 
@@ -286,7 +284,7 @@ class TestDerivativeSum:
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
         for p in (1, 3, 5):
             for y0 in (F(0), F(3, 10), F(2)):
-                residual, terms = derivative_sum(basis, p, to_apfloat(y0, BITS))
+                residual, terms = derivative_sum(basis, p, ApFloat(y0, BITS))
                 assert abs(residual) <= scaled_tolerance(terms, BITS)
 
     @pytest.mark.parametrize("n", [3, 7, 11])
@@ -299,7 +297,7 @@ class TestDerivativeSum:
 
     def test_repeated_calls_are_deterministic(self):
         # two fresh bases of the same knots give the same bits
-        y0 = to_apfloat(F(1, 7), BITS)
+        y0 = ApFloat(F(1, 7), BITS)
         hermite_fejer_basis.cache_clear()
         r1, t1 = derivative_sum(hermite_fejer_basis(chebyshev1_knots(4, BITS)), 2, y0)
         hermite_fejer_basis.cache_clear()
@@ -318,7 +316,7 @@ class TestDerivativeSum:
     )
     def test_lower_orders_read_from_one_jet_are_bit_identical(self, family, kwargs, n):
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
-        for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
+        for y0 in (basis.knots.points[n // 3], ApFloat(F(3, 10), BITS), ApFloat(F(-5, 4), BITS)):
             rows = derivative_extremes(basis, range(1, 2 * n + 2), y0)
             assert len(rows) == 2 * n + 1
             for p, (r, largest) in enumerate(rows, 1):
@@ -340,7 +338,7 @@ class TestDerivativeSum:
     def _threads_share_one_basis(cold):
         knots = gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS)
         basis = hermite_fejer_basis(knots)
-        points = [basis.knots.points[4], to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)]
+        points = [basis.knots.points[4], ApFloat(F(3, 10), BITS), ApFloat(F(-5, 4), BITS)]
         jobs = [(p, k) for k in range(len(points)) for p in (19, 8, 5, 2, 1)]
 
         def raws(b, p, k):
@@ -390,11 +388,11 @@ class TestDerivativeSum:
             monkeypatch.setattr(NumPoly, name, counting)
         basis = hermite_fejer_basis(gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS))
         for p in (1, 4, 17, 18):
-            derivative_sum(basis, p, to_apfloat(F(3, 10), BITS))
-        interpolate(basis, list(basis.knots.points), to_apfloat(F(-2), BITS))
+            derivative_sum(basis, p, ApFloat(F(3, 10), BITS))
+        interpolate(basis, list(basis.knots.points), ApFloat(F(-2), BITS))
         assert "h" not in vars(basis)
         # the dense coefficients of either construction come from integers too
-        assert len(basis.h) == 9 and len(chebyshev_closed_form(9, BITS).h) == 9
+        assert len(basis.h) == 9 and len(chebyshev_closed_form(9, BITS)) == 9
         assert calls == []
 
     @pytest.mark.parametrize("n", [2, 5, 9, 17])
@@ -411,7 +409,7 @@ class TestDerivativeSum:
         # the reference is the exact oracle's h_i^(p)(y0) on the rounded knots
         basis = hermite_fejer_basis(make_knots(family, n, BITS, **kwargs))
         knot = basis.knots.points[n // 3]
-        for y0 in (knot, to_apfloat(F(3, 10), BITS), to_apfloat(F(-5, 4), BITS)):
+        for y0 in (knot, ApFloat(F(3, 10), BITS), ApFloat(F(-5, 4), BITS)):
             rows = exact_rows(basis.knots.points, y0, 2 * n + 1)
             for p in range(1, 2 * n + 2):
                 _, terms = derivative_sum(basis, p, y0)
@@ -451,7 +449,7 @@ class TestDerivativeExtremes:
     def test_match_the_rounded_terms(self, family, kwargs, n, bits):
         basis = hermite_fejer_basis(make_knots(family, n, bits, **kwargs))
         orders = range(1, 2 * n + 2)  # p = 2n and 2n + 1 are zero rows
-        for y0 in (basis.knots.points[n // 3], to_apfloat(F(3, 10), bits), to_apfloat(F(-5, 4), bits)):
+        for y0 in (basis.knots.points[n // 3], ApFloat(F(3, 10), bits), ApFloat(F(-5, 4), bits)):
             # one jet for every order, not a derivative_sum jet per order
             rows = _rows(basis, _jet(basis, 2 * n + 1, y0), orders)
             extremes = derivative_extremes(basis, orders, y0)
@@ -493,7 +491,7 @@ class TestWorkingPrecision:
                 basis = hermite_fejer_basis(make_knots(family, n, BITS))
                 for y0 in (F(3, 10), F(2)):
                     for p, (r, largest) in zip(
-                        orders, derivative_extremes(basis, orders, to_apfloat(y0, BITS))
+                        orders, derivative_extremes(basis, orders, ApFloat(y0, BITS))
                     ):
                         tol = scaled_tolerance([largest], BITS).to_fraction()
                         assert abs(r.to_fraction()) * 2 ** 110 <= tol, (family, n, p, y0)
@@ -507,3 +505,7 @@ class TestScaledTolerance:
     def test_scales_with_data(self):
         big = [ApFloat(-(2 ** 50), BITS)]
         assert scaled_tolerance(big, BITS) == pow2(90 - BITS, BITS)
+
+    def test_precision_floor_enforced(self):
+        with pytest.raises(ValueError):
+            scaled_tolerance([ApFloat(1, BITS)], 32)

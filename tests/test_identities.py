@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from fejerlab import identities
-from fejerlab.apnum import ApFloat, NumPoly, pi, sin, to_apfloat
+from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_pi, mpf_sin, round_nearest
+
+from fejerlab.apnum import ApFloat, NumPoly
 from fejerlab.hermite import derivative_sum, hermite_fejer_basis, scaled_tolerance
 from fejerlab.identities import (
     inverse_power_sum,
@@ -35,12 +37,12 @@ class TestSin2Charpoly:
 
     @pytest.mark.parametrize("n", [5, 9, 15])
     def test_roots_are_sin_squares(self, n):
-        w = NumPoly.from_ratpoly(sin2_charpoly(n), 256)
+        w = NumPoly(sin2_charpoly(n).coeffs, 256)
         scale = max(abs(c) for c in sin2_charpoly(n).coeffs)
-        tol = to_apfloat(scale, 256) * pow2(40 - 256, 256)
-        pi_n = pi(256) / n
+        tol = ApFloat(scale, 256) * pow2(40 - 256, 256)
+        pi_n = mpf_div(mpf_pi(256, round_nearest), from_int(n), 256, round_nearest)
         for k in range(1, (n - 1) // 2 + 1):
-            s = sin(pi_n * k)
+            s = ApFloat._wrap(mpf_sin(mpf_mul_int(pi_n, k, 256, round_nearest), 256, round_nearest), 256)
             root = s * s
             assert ApFloat(0, 256) < root < ApFloat(1, 256)
             assert abs(w.evaluate(root)) <= tol
@@ -86,11 +88,11 @@ class TestInversePowerSum:
     def test_exact_numeric_bridge(self, n, m):
         # directly summed sin powers at 256 bits agree with the exact value
         bits = 256
-        pi_n = pi(bits) / n
+        pi_n = mpf_div(mpf_pi(bits, round_nearest), from_int(n), bits, round_nearest)
         one = ApFloat(1, bits)
         terms = []
         for k in range(1, (n - 1) // 2 + 1):
-            s = sin(pi_n * k)
+            s = ApFloat._wrap(mpf_sin(mpf_mul_int(pi_n, k, bits, round_nearest), bits, round_nearest), bits)
             p = s * s
             for _ in range(m - 1):
                 p = p * s * s
@@ -99,7 +101,7 @@ class TestInversePowerSum:
         for t in terms[1:]:
             total = total + t
         tol = scaled_tolerance(terms, bits)
-        assert abs(total - to_apfloat(inverse_power_sum(n, m), bits)) <= tol
+        assert abs(total - ApFloat(inverse_power_sum(n, m), bits)) <= tol
 
 
 class TestCosecantSum:
@@ -137,7 +139,7 @@ class TestMidpointSecondDerivative:
         bits = 256
         basis = hermite_fejer_basis(chebyshev1_knots(3, bits))
         _, terms = derivative_sum(basis, 2, ApFloat(0, bits))
-        exact = to_apfloat(midpoint_second_derivative(3), bits)
+        exact = ApFloat(midpoint_second_derivative(3), bits)
         assert abs(terms[1] - exact) <= scaled_tolerance(terms, bits)
 
 
@@ -161,7 +163,7 @@ class TestBalance:
         _, terms = derivative_sum(basis, 2, ApFloat(0, bits))
         off_numeric = sum(terms[:3] + terms[4:], ApFloat(0, bits))
         off_exact, _ = second_derivative_balance(n)
-        assert abs(off_numeric - to_apfloat(off_exact, bits)) <= scaled_tolerance(terms, bits)
+        assert abs(off_numeric - ApFloat(off_exact, bits)) <= scaled_tolerance(terms, bits)
 
 
 def test_exact_layer_multiplies_no_polynomials(monkeypatch):

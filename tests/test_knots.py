@@ -11,7 +11,7 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 import fejerlab.knots as knots_mod
-from fejerlab.apnum import ApFloat, _man_exp, sqrt, to_apfloat
+from fejerlab.apnum import ApFloat, _man_exp
 from fejerlab.knots import (
     ConvergenceFailure,
     KnotSet,
@@ -33,13 +33,13 @@ class TestChebyshev1:
         assert k.points[0].is_zero()
 
     def test_n3_closed_form(self):
-        # cos(pi/6) = sqrt(3)/2 by hand
+        # cos(pi/6) = sqrt(3)/2 by hand: the outer knots square to 3/4
         k = chebyshev1_knots(3, BITS)
-        root32 = sqrt(ApFloat(3, BITS)) / 2
         tol = pow2(-250, BITS)
-        assert abs(k.points[0] + root32) <= tol
+        assert k.points[0] < 0 < k.points[2]
+        assert abs(k.points[0] * k.points[0] - F(3, 4)) <= tol
         assert k.points[1].is_zero()
-        assert abs(k.points[2] - root32) <= tol
+        assert abs(k.points[2] * k.points[2] - F(3, 4)) <= tol
 
     def test_n4_symmetric_no_zero(self):
         k = chebyshev1_knots(4, BITS)
@@ -57,7 +57,7 @@ class TestChebyshev1:
         from fejerlab.ratpoly import chebyshev_T
 
         k = chebyshev1_knots(7, BITS)
-        t7 = NumPoly.from_ratpoly(chebyshev_T(7), BITS)
+        t7 = NumPoly(chebyshev_T(7).coeffs, BITS)
         tol = pow2(-240, BITS)
         for x in k.points:
             assert abs(t7.evaluate(x)) <= tol
@@ -103,28 +103,28 @@ class TestEquispaced:
 
 class TestJacobiEval:
     def test_p0(self):
-        v, d = jacobi_eval(0, F(1, 2), F(-1, 3), to_apfloat(F(2, 5), BITS))
+        v, d = jacobi_eval(0, F(1, 2), F(-1, 3), ApFloat(F(2, 5), BITS))
         assert v == 1 and d.is_zero()
 
     def test_p1_legendre_is_x(self):
-        x = to_apfloat(F(3, 7), BITS)
+        x = ApFloat(F(3, 7), BITS)
         v, d = jacobi_eval(1, F(0), F(0), x)
         assert v == x and d == 1
 
     @pytest.mark.parametrize("n,alpha,beta", [(3, F(0), F(0)), (5, F(1, 3), F(-1, 4)), (8, F(-1, 2), F(2))])
     def test_derivative_against_central_difference(self, n, alpha, beta):
-        x = to_apfloat(F(2, 7), BITS)
+        x = ApFloat(F(2, 7), BITS)
         h = pow2(-BITS // 3, BITS)
         _, d = jacobi_eval(n, alpha, beta, x)
         up, _ = jacobi_eval(n, alpha, beta, x + h)
         dn, _ = jacobi_eval(n, alpha, beta, x - h)
-        fd = (up - dn) / h.scale2(1)
+        fd = (up - dn) / (h * 2)
         # truncation error O(h^2 P''') dominates: ~2^(-2*BITS/3) with slack
         assert abs(fd - d) <= pow2(-2 * (BITS // 3) + 16, BITS)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            jacobi_eval(2, F(-1), F(0), to_apfloat(F(0), BITS))
+            jacobi_eval(2, F(-1), F(0), ApFloat(F(0), BITS))
 
 
 def _textbook_step(alpha, beta, j):
@@ -163,7 +163,7 @@ class TestIntegerSteps:
             for alpha, beta in pairs:
                 for n in (*range(13), 25, 40):
                     for x in xs:
-                        v, d = jacobi_eval(n, alpha, beta, to_apfloat(x, bits))
+                        v, d = jacobi_eval(n, alpha, beta, ApFloat(x, bits))
                         h.update(("%d,%d;%d,%d;%d,%d\n" % (
                             *_man_exp(v.raw), *_man_exp(d.raw), v.precision_bits, d.precision_bits
                         )).encode())
@@ -179,12 +179,12 @@ class TestGaussJacobi:
             assert abs(a - b) <= tol
 
     def test_legendre_two_points(self):
-        # roots of (3x^2 - 1)/2 are +-1/sqrt(3)
+        # roots of (3x^2 - 1)/2 are +-1/sqrt(3): both square to 1/3
         k = gauss_jacobi_knots(2, F(0), F(0), BITS)
-        r = 1 / sqrt(ApFloat(3, BITS))
         tol = pow2(20 - BITS, BITS)
-        assert abs(k.points[0] + r) <= tol
-        assert abs(k.points[1] - r) <= tol
+        assert k.points[0] < 0 < k.points[1]
+        assert abs(k.points[0] * k.points[0] - F(1, 3)) <= tol
+        assert abs(k.points[1] * k.points[1] - F(1, 3)) <= tol
 
     def test_single_symmetric_root(self):
         k = gauss_jacobi_knots(1, F(0), F(0), BITS)
@@ -194,7 +194,7 @@ class TestGaussJacobi:
         # P_1 root is (beta - alpha)/(alpha + beta + 2)
         k = gauss_jacobi_knots(1, F(1, 2), F(1, 4), BITS)
         expect = (F(1, 4) - F(1, 2)) / (F(1, 2) + F(1, 4) + 2)
-        assert abs(k.points[0] - to_apfloat(expect, BITS)) <= pow2(-250, BITS)
+        assert abs(k.points[0] - ApFloat(expect, BITS)) <= pow2(-250, BITS)
 
     @pytest.mark.parametrize("alpha,beta", [(F(0), F(0)), (F(1, 3), F(-1, 4))])
     def test_interlacing(self, alpha, beta):
@@ -255,7 +255,7 @@ class TestGaussJacobi:
         # knots and 1
         for n in range(1, 21):
             points = gauss_jacobi_knots(n, alpha, beta, BITS).points
-            cuts = [ApFloat(-1, BITS), *((a + b).scale2(-1) for a, b in zip(points, points[1:])), ApFloat(1, BITS)]
+            cuts = [ApFloat(-1, BITS), *((a + b) / 2 for a, b in zip(points, points[1:])), ApFloat(1, BITS)]
             for i, cut in enumerate(cuts):
                 value, _ = jacobi_eval(n, alpha, beta, cut)
                 assert (value > 0) == ((n - i) % 2 == 0) and not value.is_zero()
@@ -351,7 +351,7 @@ class TestHalleyRefinement:
             for x in NEAR_EDGES:
                 X = self._fixed_point(x)
                 p, d = knots_mod._fixed_value_derivative(steps, X, wp)
-                value, deriv = jacobi_eval(n, alpha, beta, ApFloat(from_man_exp(X, -wp), wp))
+                value, deriv = jacobi_eval(n, alpha, beta, ApFloat._wrap(from_man_exp(X, -wp), wp))
                 for fixed, libmp in ((p, value), (d, deriv)):
                     ref = libmp.to_fraction() * 2 ** wp
                     # within 2^32 ulps of max(1, |value|): 1 - x^2 near 2^-19 costs 19 bits
@@ -473,7 +473,7 @@ class TestPinnedBits:
 
 class TestKnotSetGuards:
     def test_minimum_gap_enforced(self):
-        close = (to_apfloat(F(0), BITS), to_apfloat(F(1, 2 ** 300), BITS))
+        close = (ApFloat(F(0), BITS), ApFloat(F(1, 2 ** 300), BITS))
         with pytest.raises(KnotSpacingError):
             KnotSet(family="equispaced", n=2, points=close, precision_bits=BITS)
 
@@ -508,7 +508,7 @@ class TestKnotSetGuards:
         floor = F(2) ** (16 - bits)
         lo, ulp = case(floor, bits)
         for gap, accepted in ((floor, False), (floor + ulp, True)):
-            pts = (to_apfloat(lo, bits), to_apfloat(lo + gap, bits))
+            pts = (ApFloat(lo, bits), ApFloat(lo + gap, bits))
             assert [p.to_fraction() for p in pts] == [lo, lo + gap]
             if accepted:
                 KnotSet(family="equispaced", n=2, points=pts, precision_bits=bits)
@@ -517,7 +517,7 @@ class TestKnotSetGuards:
                     KnotSet(family="equispaced", n=2, points=pts, precision_bits=bits)
 
     def test_descending_points_rejected(self):
-        pts = (to_apfloat(F(1), BITS), to_apfloat(F(0), BITS))
+        pts = (ApFloat(F(1), BITS), ApFloat(F(0), BITS))
         with pytest.raises(KnotSpacingError):
             KnotSet(family="equispaced", n=2, points=pts, precision_bits=BITS)
 
