@@ -12,7 +12,8 @@ gmpy2 if installed, else pure Python: see mpmath.libmp.BACKEND), bypassing
 the global mpmath context: precision is per-value, never shared.  _RND is the
 one rounding mode of the package.  There is one way to round a number in,
 ApFloat(q, bits) for an int, a Fraction or an ApFloat, and one way to wrap a
-raw libmp value that is already rounded, ApFloat._wrap.
+raw libmp value that is already rounded, ApFloat._wrap; NumPoly has the same
+two, NumPoly(coeffs, bits) and NumPoly._wrap.
 
 The Hermite-Fejer basis, its jet and its dense coefficients do not run on
 ApFloat operations: libmp normalises after every operation, which costs
@@ -29,6 +30,7 @@ module; see the rational polynomial layer for those.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from mpmath.libmp import (
@@ -59,6 +61,22 @@ def _check_precision(bits: int) -> int:
     if not isinstance(bits, int) or bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be an int >= {MIN_PRECISION_BITS}")
     return bits
+
+
+def _arithmetic(op, reflected: bool = False):
+    """The ApFloat operator of the libmp op: the other operand coerced, op run
+    at the larger precision in the written operand order (the ApFloat second
+    when reflected, so 1 - x is op(1, x)), rounded once and wrapped."""
+
+    def method(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        prec = max(self.precision_bits, o.precision_bits)
+        a, b = (o, self) if reflected else (self, o)
+        return ApFloat._wrap(op(a.raw, b.raw, prec, _RND), prec)
+
+    return method
 
 
 class ApFloat:
@@ -125,49 +143,14 @@ class ApFloat:
             return ApFloat(other, self.precision_bits)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat._wrap(mpf_add(self.raw, o.raw, prec, _RND), prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat._wrap(mpf_sub(self.raw, o.raw, prec, _RND), prec)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat._wrap(mpf_mul(self.raw, o.raw, prec, _RND), prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = max(self.precision_bits, o.precision_bits)
-        return ApFloat._wrap(mpf_div(self.raw, o.raw, prec, _RND), prec)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    # A correctly rounded sum or product does not depend on the operand
+    # order, so + and * serve their reflected forms as they are.
+    __add__ = __radd__ = _arithmetic(mpf_add)
+    __sub__ = _arithmetic(mpf_sub)
+    __rsub__ = _arithmetic(mpf_sub, reflected=True)
+    __mul__ = __rmul__ = _arithmetic(mpf_mul)
+    __truediv__ = _arithmetic(mpf_div)
+    __rtruediv__ = _arithmetic(mpf_div, reflected=True)
 
     def __neg__(self) -> "ApFloat":
         return ApFloat._wrap(mpf_neg(self.raw), self.precision_bits)
@@ -247,33 +230,49 @@ def _renorm(coeffs: list[int], E: int, bits: int) -> tuple[list[int], int]:
     return [(c + half) >> b for c in coeffs], E + b
 
 
+def _coefficientwise(op):
+    """The NumPoly operator of the libmp op: op on each pair of coefficients,
+    the shorter operand padded with exact zeros, at the larger precision."""
+
+    def method(self, other):
+        prec = max(self.precision_bits, other.precision_bits)
+        pairs = zip_longest(self._raw, other._raw, fillvalue=fzero)
+        return NumPoly._wrap([op(a, b, prec, _RND) for a, b in pairs], prec)
+
+    return method
+
+
 class NumPoly:
     """Dense polynomial with ApFloat coefficients sharing one precision.
 
     The container both dense constructions return (FundamentalBasis.h and
     chebyshev_closed_form): coefficients, degree, and the coefficient-wise +
-    and - that compare them, at the carried precision.  Build one from exact
-    coefficients with NumPoly(poly.coeffs, bits).  No fejerlab code
-    multiplies or evaluates one; the product and Horner evaluation stay
-    because the benchmark's tracer patches them by name and the tests use
-    them as numeric references.  Exact-zero leading coefficients are trimmed;
-    nothing is ever trimmed by threshold.
+    and - that compare them, at the carried precision.  Like ApFloat it has
+    one way to round coefficients in, NumPoly(coeffs, bits) for ints,
+    Fractions or ApFloats (poly.coeffs of an exact polynomial, say), and one
+    way to wrap raw libmp values that are already rounded, NumPoly._wrap.  No
+    fejerlab code multiplies or evaluates one; the product and Horner
+    evaluation stay because the benchmark's tracer patches them by name and
+    the tests use them as numeric references.  Exact-zero leading
+    coefficients are trimmed; nothing is ever trimmed by threshold.
     """
 
     __slots__ = ("_raw", "precision_bits")
 
     def __init__(self, coeffs: Iterable, precision_bits: int):
         _check_precision(precision_bits)
-        raws = []
-        for c in coeffs:
-            if isinstance(c, ApFloat):
-                raws.append(mpf_pos(c.raw, precision_bits, _RND))
-            elif isinstance(c, (int, Fraction)):
-                raws.append(ApFloat(c, precision_bits).raw)
-            elif isinstance(c, tuple) and len(c) == 4:
-                raws.append(c)
-            else:
-                raise TypeError(f"bad NumPoly coefficient {type(c).__name__}")
+        self._fill([ApFloat(c, precision_bits).raw for c in coeffs], precision_bits)
+
+    @classmethod
+    def _wrap(cls, raws, precision_bits: int) -> "NumPoly":
+        """Raw mpfs the caller has already rounded to a checked precision,
+        wrapped without re-validating either; exact-zero leading
+        coefficients are trimmed."""
+        self = object.__new__(cls)
+        self._fill(list(raws), precision_bits)
+        return self
+
+    def _fill(self, raws: list, precision_bits: int) -> None:
         while raws and raws[-1] == fzero:
             raws.pop()
         object.__setattr__(self, "_raw", tuple(raws))
@@ -293,41 +292,21 @@ class NumPoly:
     def coefficients(self) -> list[ApFloat]:
         return [ApFloat._wrap(c, self.precision_bits) for c in self._raw]
 
-    def _unify(self, other: "NumPoly") -> int:
-        return max(self.precision_bits, other.precision_bits)
-
-    def __add__(self, other: "NumPoly") -> "NumPoly":
-        prec = self._unify(other)
-        a, b = self._raw, other._raw
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = mpf_add(out[k], c, prec, _RND)
-        return NumPoly(out, prec)
-
-    def __sub__(self, other: "NumPoly") -> "NumPoly":
-        prec = self._unify(other)
-        la, lb = len(self._raw), len(other._raw)
-        out = []
-        for k in range(max(la, lb)):
-            a = self._raw[k] if k < la else fzero
-            b = other._raw[k] if k < lb else fzero
-            out.append(mpf_sub(a, b, prec, _RND))
-        return NumPoly(out, prec)
+    __add__ = _coefficientwise(mpf_add)
+    __sub__ = _coefficientwise(mpf_sub)
 
     def __mul__(self, other: "NumPoly") -> "NumPoly":  # (bench/tracing.py patches this name)
-        prec = self._unify(other)
+        prec = max(self.precision_bits, other.precision_bits)
         a, b = self._raw, other._raw
         if not a or not b:
-            return NumPoly([], prec)
+            return NumPoly._wrap([], prec)
         out = [fzero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == fzero:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] = mpf_add(out[i + j], mpf_mul(ca, cb, prec, _RND), prec, _RND)
-        return NumPoly(out, prec)
+        return NumPoly._wrap(out, prec)
 
     def evaluate(self, x: ApFloat) -> ApFloat:  # (bench/tracing.py patches this name)
         prec = max(self.precision_bits, x.precision_bits)

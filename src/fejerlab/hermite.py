@@ -114,11 +114,9 @@ class FundamentalBasis:
     as the integer pairs (m, e) with value m 2^e that the kernel reads; they
     are all that evaluation needs.  h, the dense coefficients, is read from
     the Taylor jet on every read and never stored, so a cached basis holds
-    O(n) numbers whoever reads it.  There is no construction tag: the
-    Chebyshev closed form is a separate function, chebyshev_closed_form.
-    Nothing else is stored, so a basis can be shared between threads:
-    hermite_fejer_basis hands one cached basis to every caller with an equal
-    knot set.
+    O(n) numbers whoever reads it.  Nothing else is stored, so a basis can
+    be shared between threads: hermite_fejer_basis hands one cached basis to
+    every caller with an equal knot set.
     """
 
     knots: KnotSet
@@ -145,11 +143,10 @@ class FundamentalBasis:
         """Dense coefficients of every h_i from one Taylor jet at 0, truncated
         at 2n-1: [x^p] h_i is [t^p] h_i(0 + t), the exact pair that row p
         holds, rounded once to the working precision.  O(n^2) numbers, built
-        afresh on each read.  There is no construction tag to switch this:
-        on any knots it is the jet's readout."""
+        afresh on each read."""
         n, wp = self.n, self.working_precision_bits
         rows = _rows(self, _jet(self, 2 * n - 1, ApFloat(0, self.precision_bits)), range(2 * n))
-        return tuple(NumPoly([from_man_exp(v, e, wp, _RND) for v, e in col], wp) for col in zip(*rows))
+        return tuple(NumPoly._wrap([from_man_exp(v, e, wp, _RND) for v, e in col], wp) for col in zip(*rows))
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
@@ -300,7 +297,7 @@ def chebyshev_closed_form(n: int, precision_bits: int) -> tuple[NumPoly, ...]:
         padded = q + [0] * (n - 1)  # _square_coeff reads g[k] for k <= 2n-2
         sq = [_square_coeff(padded, k) for k in range(2 * n - 1)]
         h = [(v << L) - X * lower for v, lower in zip(sq + [0], [0] + sq)]
-        hs.append(NumPoly([mpf_div(from_man_exp(v, E), n2, wp, _RND) for v in h], wp))
+        hs.append(NumPoly._wrap([mpf_div(from_man_exp(v, E), n2, wp, _RND) for v in h], wp))
     return tuple(hs)
 
 

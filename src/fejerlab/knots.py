@@ -362,7 +362,11 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
     steps = _integer_steps(alpha, beta, n)
     threshold = 1 << (wp + 16 - precision_bits)
     symmetric = alpha == beta
-    roots = [_refine(steps, seed, wp, threshold) for seed in _seed_roots(steps, symmetric)]
+    try:
+        seeds = _seed_roots(steps, symmetric)
+    except OverflowError:
+        raise ConvergenceFailure("Jacobi parameters overflow the float seed stage") from None
+    roots = [_refine(steps, seed, wp, threshold) for seed in seeds]
     if symmetric:
         # P_n has the parity of n: mirror the positive half, around 0 for odd n.
         roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots

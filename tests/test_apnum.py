@@ -1,5 +1,6 @@
 """Arbitrary-precision numerics: oracles are exact rational series and
 precision-doubling checks, never the code path under test."""
+import operator
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,8 @@ import pytest
 from mpmath.libmp import (
     from_int,
     from_rational,
+    fzero,
+    mpf_add,
     mpf_cos,
     mpf_div,
     mpf_mul,
@@ -15,6 +18,7 @@ from mpmath.libmp import (
     mpf_pi,
     mpf_sin,
     mpf_sqrt,
+    mpf_sub,
     round_nearest,
 )
 
@@ -76,6 +80,48 @@ class TestApFloat:
                 assert hash(x) == hash(x.to_fraction())
         assert hash(ApFloat(F(1, 2), 64)) == hash(ApFloat(F(1, 2), 256)) == hash(0.5)
 
+    # (operator, libmp op, reflected): a reflected form computes other op self
+    OPERATORS = [
+        ("__add__", mpf_add, False),
+        ("__radd__", mpf_add, True),
+        ("__sub__", mpf_sub, False),
+        ("__rsub__", mpf_sub, True),
+        ("__mul__", mpf_mul, False),
+        ("__rmul__", mpf_mul, True),
+        ("__truediv__", mpf_div, False),
+        ("__rtruediv__", mpf_div, True),
+    ]
+
+    @pytest.mark.parametrize("name, op, reflected", OPERATORS)
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize(
+        "other", [F(-2, 7), 3, F(10 ** 30, 7), ApFloat(F(5, 11), 64), ApFloat(F(-5, 11), 256)], ids=repr
+    )
+    def test_operator_is_one_libmp_call_at_the_larger_precision(self, name, op, reflected, bits, other):
+        # an int or Fraction operand is rounded to self's precision first
+        x = ApFloat(F(1, 3), bits)
+        o = other if isinstance(other, ApFloat) else ApFloat(other, bits)
+        prec = max(bits, o.precision_bits)
+        a, b = (o, x) if reflected else (x, o)
+        got = getattr(x, name)(other)
+        assert (got.raw, got.precision_bits) == (op(a.raw, b.raw, prec, round_nearest), prec)
+
+    @pytest.mark.parametrize("sym", [operator.sub, operator.truediv])
+    @pytest.mark.parametrize("q", [1, F(7, 3)])
+    def test_reflected_operators_keep_the_operand_order(self, sym, q):
+        x = ApFloat(F(2, 5), 128)
+        assert sym(q, x).to_fraction() != sym(x, q).to_fraction()
+        assert sym(q, x) == sym(ApFloat(q, 128), x)
+
+    @pytest.mark.parametrize("name, op, reflected", OPERATORS)
+    @pytest.mark.parametrize("other", [0.5, "1/3"])
+    def test_float_and_str_operands_are_refused(self, name, op, reflected, other):
+        x = ApFloat(F(1, 3), 64)
+        assert getattr(x, name)(other) is NotImplemented
+        sym = getattr(operator, name.replace("__r", "__", 1))
+        with pytest.raises(TypeError):
+            sym(other, x) if reflected else sym(x, other)
+
     def test_division(self):
         q = ApFloat(1, 128) / ApFloat(3, 128)
         assert abs(q.to_fraction() - F(1, 3)) <= F(1, 2 ** 128)
@@ -129,6 +175,43 @@ class TestNumPoly:
     def test_exact_zero_trim(self):
         p = NumPoly([1, 2, 0, 0], 64)
         assert p.degree == 1
+
+    def test_raw_tuple_refused(self):
+        # an unnormalised (0, 6, 0, 3) would print 6.0 yet compare unequal to
+        # 6: raw values go through NumPoly._wrap, already rounded
+        with pytest.raises(TypeError):
+            NumPoly([(0, 6, 0, 3)], 64)
+        with pytest.raises(TypeError):
+            NumPoly([1, ApFloat(2, 64).raw], 64)
+        with pytest.raises(TypeError):
+            NumPoly([0.5], 64)
+
+    def test_wrap_keeps_rounded_raws_and_trims_exact_zeros(self):
+        raws = [from_rational(1, 3, 256, round_nearest), fzero, from_int(-5, 256, round_nearest), fzero, fzero]
+        p = NumPoly._wrap(raws, 256)
+        assert p._raw == tuple(raws[:3]) and p.precision_bits == 256
+        assert NumPoly._wrap([fzero], 64).degree == -1
+
+    def test_rounds_ints_fractions_and_apfloats_in(self):
+        p = NumPoly([ApFloat(1, 64), 2, F(1, 3)], 256)
+        assert p._raw == (from_int(1), from_int(2), from_rational(1, 3, 256, round_nearest))
+        q = NumPoly([ApFloat(F(1, 3), 256)], 64)
+        assert q._raw == (from_rational(1, 3, 64, round_nearest),)
+
+    @pytest.mark.parametrize("name, op", [("__add__", mpf_add), ("__sub__", mpf_sub)])
+    @pytest.mark.parametrize("la, lb", [(3, 3), (2, 5), (5, 2), (0, 3)])
+    def test_coefficientwise_ops_pad_with_zeros_at_the_larger_precision(self, name, op, la, lb):
+        a = NumPoly([F(k + 1, 3) for k in range(la)], 64)
+        b = NumPoly([F(-k - 2, 7) for k in range(lb)], 192)
+        got = getattr(a, name)(b)
+        pad = [fzero] * max(la, lb)
+        expect = [op(x, y, 192, round_nearest) for x, y in zip(list(a._raw) + pad, list(b._raw) + pad)]
+        assert got.precision_bits == 192
+        assert got._raw == tuple(expect[: max(la, lb)])
+
+    def test_difference_of_equal_polynomials_is_trimmed_to_zero(self):
+        p = NumPoly([F(1, 3), 2, F(-5, 7)], 128)
+        assert (p - p).degree == -1 and (p - p)._raw == ()
 
 
 class TestPrecisionMonotonicity:

@@ -1,5 +1,6 @@
 """Command-line contract: JSON schemas, exit codes, determinism, precision
 plumbing."""
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -179,6 +180,24 @@ class TestNumericFailure:
         )
         assert code == 0
         assert len(json_lines(out)[0]["points"]) == 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "knots --family gauss_jacobi --n 5 --alpha 1e300",
+            "knots --family gauss_jacobi --n 5 --alpha 1e400",
+            "knots --family gauss_jacobi --n 4 --alpha 1e300 --beta 1e300",
+            "verify-eq1 --family gauss_jacobi --n 3 --beta 1e300",
+            "conjecture --family gauss_jacobi --alpha 1e300 --p 1 --n-list 3",
+        ],
+    )
+    def test_parameters_past_the_float_range_exit_three(self, capsys, argv):
+        # the float seed stage overflows (alpha**2 in the asymptotic start,
+        # or alpha = A / D itself): a numeric failure, like a step cap
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_knot_spacing_error_exits_three(self, capsys, monkeypatch):
         def too_close(*args, **kwargs):
@@ -644,6 +663,32 @@ class TestConfig:
         run(capsys, "knots", "--family", "chebyshev1", "--n", "2")
         monkeypatch.delenv(cli.PRECISION_ENV_VAR)
         assert run(capsys, "verify-eq1", "--help") == first
+
+
+#: Every subcommand's option strings in declaration order, which fixes the
+#: layout of its --help whatever argparse's formatting does.
+PARSER_OPTIONS = {
+    "knots": ["-h", "--help", "--family", "--n", "--alpha", "--beta", "--a", "--b", "--precision-bits", "--output"],
+    "verify-eq1": [
+        "-h", "--help", "--family", "--n", "--n-max", "--p-max", "--y0",
+        "--alpha", "--beta", "--a", "--b", "--precision-bits", "--output",
+    ],
+    "verify-identity": ["-h", "--help", "--n", "--n-max", "--precision-bits", "--output"],
+    "power-sum": ["-h", "--help", "--m", "--n", "--n-max", "--precision-bits", "--output"],
+    "conjecture": [
+        "-h", "--help", "--m", "--train", "--holdout", "--family", "--p", "--y0", "--n-list",
+        "--alpha", "--beta", "--a", "--b", "--max-denominator", "--precision-bits", "--output",
+    ],
+}
+
+
+def test_parser_declares_subcommands_and_options_in_order():
+    parser = cli.build_parser(None)
+    assert [o for action in parser._actions for o in action.option_strings] == ["-h", "--help"]
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_OPTIONS)
+    for name, options in PARSER_OPTIONS.items():
+        assert [o for action in sub.choices[name]._actions for o in action.option_strings] == options
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -232,6 +232,15 @@ class TestGaussJacobi:
         with pytest.raises(ConvergenceFailure):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(F(10**300), F(0)), (F(10**400), F(0)), (F(0), F(10**400)), (F(10**300), F(10**300))]
+    )
+    def test_parameters_past_the_float_range_fail_to_converge(self, alpha, beta):
+        # the float seed stage overflows: alpha**2 past 1e308, or A / D
+        # itself; that is a ConvergenceFailure, never an OverflowError
+        with pytest.raises(ConvergenceFailure, match="overflow"):
+            gauss_jacobi_knots(5, alpha, beta, BITS)
+
     def test_duplicate_seed_fails_the_certificate(self, monkeypatch):
         # two seeds on one root refine to one knot twice: the set must be
         # refused, never returned with a root missing
