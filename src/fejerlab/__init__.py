@@ -46,8 +46,6 @@ from .ratpoly import (
     DuplicateAbscissa,
     NotOdd,
     RatPoly,
-    X,
-    ZeroConstantTerm,
     chebyshev_T,
     format_rational,
     newton_power_sums,
@@ -71,8 +69,6 @@ __all__ = [
     "NumPoly",
     "RatPoly",
     "Recognition",
-    "X",
-    "ZeroConstantTerm",
     "chebyshev1_knots",
     "chebyshev2_knots",
     "chebyshev_T",

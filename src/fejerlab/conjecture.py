@@ -78,12 +78,15 @@ def conjecture_power_formula(
     PS(m, n) behaves like a degree-2m polynomial in n, so at least 2m+1
     training points are required.  The fit is a plain exact interpolation with
     no structural assumption beyond polynomiality; overfitting is caught by
-    the holdout comparison, which is exact rational equality.
+    the holdout comparison, which is exact rational equality, so holdout_n
+    must not be empty.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     train = _check_odd_list(train_n, "train_n")
     holdout = _check_odd_list(holdout_n, "holdout_n")
+    if not holdout:
+        raise ValueError("holdout_n must not be empty")
     if set(train) & set(holdout):
         raise ValueError("train and holdout sets must be disjoint")
     if len(train) < 2 * m + 1:

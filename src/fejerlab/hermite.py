@@ -182,15 +182,10 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
 
 
 def _times_factor(block: tuple, d: int, L: int, bits: int) -> tuple:
-    """The block times (d 2^-L + t), truncated to its length, rounded once
-    (_renorm inlined: a block has at least two coefficients)."""
+    """The block times (d 2^-L + t), truncated to its length, rounded once."""
     c, E = block
     out = [c[0] * d] + [ck * d + (lower << L) for ck, lower in zip(c[1:], c)]
-    b = max(out[0].bit_length(), out[1].bit_length()) - bits
-    if b <= 0:
-        return out, E - L
-    half = 1 << (b - 1)
-    return [(v + half) >> b for v in out], E - L + b
+    return _renorm(out, E - L, bits)
 
 
 def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:

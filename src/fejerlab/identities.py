@@ -22,7 +22,7 @@ differential equation and stops at c_(2m+1): Newton's identities read only
 e_1..e_m of the reversed W, which come from c_1, c_3, ..., c_(2m+1), so PS(m, n)
 costs O(m^2) integer steps whatever n is.  Newton's identities run in
 integers, and h_mid''(0) is read off c_1 and c_3.  The full W is built only
-when a report's witness is read.
+when a report's witness is read, from the same walk run on to c_n.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, _integer_power_sums, chebyshev_T
-from .ratpoly import newton_power_sums  # noqa: F401  (bench/tracing.py times it under this name)
+from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, _integer_power_sums
+from .ratpoly import chebyshev_T, newton_power_sums  # noqa: F401  (bench/tracing.py times both here)
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,11 @@ def sin2_charpoly(n: int) -> RatPoly:
     """The polynomial whose roots are sin^2(k pi / n), k = 1..(n-1)/2.
 
     This is W with T_n(x) = x * W(x^2); each root is simple and lies in (0, 1).
+    W's coefficients are c_1, c_3, ..., c_n of T_n, read from the walk that
+    the proofs read, so T_n itself is not built.
     """
     _check_odd(n)
-    return chebyshev_T(n).odd_part()
+    return RatPoly(_chebyshev_walk(n, n))
 
 
 def inverse_power_sum(n: int, m: int) -> Fraction:

@@ -10,19 +10,19 @@ three-term recurrence, with Maehly deflation against the roots already found
 seed in about two steps.  Halley in Python-int fixed point at the precision
 plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed,
 3 evaluations per root at 256 bits and about 4 at 512 (low-precision seeds
-as in Johansson & Mezzarobba, arXiv:1802.03948).  An evaluation runs the
-recurrence for P_n only: P_n' follows from P_n and P_(n-1) by a classical
-identity, and P_n'' from the Jacobi differential equation.  Under parity,
-alpha = beta, only the positive half is solved and then mirrored, so an odd
-set carries the exact root 0 in the middle.
+as in Johansson & Mezzarobba, arXiv:1802.03948).  An evaluation,
+_fixed_derivatives, runs the recurrence for P_n only: P_n' follows from P_n
+and P_(n-1) by a classical identity, and P_n'' from the Jacobi differential
+equation.  Under parity, alpha = beta, only the positive half is solved and
+then mirrored, so an odd set carries the exact root 0 in the middle.
 Robustness comes from a certificate, not from the path to the roots: the
 signs of P_n at -1, at the midpoints of consecutive roots and at 1 must
 alternate, which proves exactly one root in each cell.  A set that fails it
 raises ConvergenceFailure; a wrong knot is never returned.  No external root
 finder is involved.  A finished set is a pure function of (n, alpha, beta,
-precision), so one functools.lru_cache bounded at _KNOT_SET_CAP sets shares
-it between calls and threads.  The closed-form families are cached the same
-way, one lru_cache per family, so make_knots hands back the same frozen set
+precision), so gauss_jacobi_knots carries one functools.lru_cache bounded at
+_KNOT_SET_CAP sets, which shares it between calls and threads, as each
+closed-form family's builder does; make_knots hands back the same frozen set
 for a repeated request.
 make_knots is the one place that knows the families: its table maps each tag
 in FAMILIES to its builder and to the builder's parameters with their
@@ -195,7 +195,7 @@ def _float_value_derivative(steps, alpha: float, beta: float, x: float) -> tuple
     """(P_n, P_n') at x in float64, both up to one positive factor: the value
     recurrence on the float steps (a, b, c), rescaled past 1e100 since only
     ratios are read, then P_n' from P_n and P_(n-1) by the identity of
-    `_fixed_value_derivative`."""
+    `_fixed_derivatives`."""
     p_prev, p = 0.0, 1.0
     for a, b, c in steps:
         p_prev, p = p, (a * x + b) * p - c * p_prev
@@ -260,8 +260,8 @@ def _seed_roots(steps, symmetric: bool) -> list[float]:
     return sorted(roots)
 
 
-def _fixed_value_derivative(steps, X: int, wp: int) -> tuple[int, int]:
-    """(P_n, P_n') at x = X 2^-wp, both scaled by 2^wp, in fixed point.
+def _fixed_derivatives(steps, X: int, wp: int) -> tuple[int, int, int]:
+    """(P_n, P_n', P_n'') at x = X 2^-wp, each scaled by 2^wp, in fixed point.
 
     Only the value recurrence runs, keeping P_(n-1); P_n' then follows from
     (Szego, Orthogonal Polynomials, (4.5.7); DLMF section 18.9)
@@ -269,30 +269,25 @@ def _fixed_value_derivative(steps, X: int, wp: int) -> tuple[int, int]:
         (2n+alpha+beta)(1-x^2) P_n' = n((alpha-beta) - (2n+alpha+beta) x) P_n
                                       + 2(n+alpha)(n+beta) P_(n-1),
 
-    times D^2, so that with alpha = A/D and beta = B/D every coefficient is
-    an integer, and with 1 - x^2 exact as 2^(2 wp) - X^2.
+    times D^2, and P_n'' from the Jacobi differential equation
+
+        (1-x^2) P_n'' = ((alpha-beta) + (alpha+beta+2) x) P_n' - n(n+alpha+beta+1) P_n,
+
+    times D, so that with alpha = A/D and beta = B/D every coefficient is an
+    integer, and with 1 - x^2 exact as 2^(2 wp) - X^2.
     """
     p_prev, p = 0, 1 << wp
     for a, b, c, den in steps:
         p_prev, p = p, (((a * X + (b << wp)) * p >> wp) - c * p_prev) // den
     A, B, D = _jacobi_params(steps)
-    nD = len(steps) * D
-    t = 2 * nD + A + B
-    num = (nD * (((A - B) << wp) - t * X) * p >> wp) + 2 * (nD + A) * (nD + B) * p_prev
-    return p, (num << 2 * wp) // (D * t * ((1 << 2 * wp) - X * X))
-
-
-def _fixed_second_derivative(steps, X: int, p: int, d: int, wp: int) -> int:
-    """P_n'' at x = X 2^-wp, scaled by 2^wp, from P_n = p 2^-wp and
-    P_n' = d 2^-wp by the Jacobi differential equation
-
-        (1-x^2) P_n'' = ((alpha-beta) + (alpha+beta+2) x) P_n' - n(n+alpha+beta+1) P_n,
-
-    times D, with 1 - x^2 exact as in `_fixed_value_derivative`."""
-    A, B, D = _jacobi_params(steps)
     n = len(steps)
-    num = ((((A - B) << wp) + (A + B + 2 * D) * X) * d >> wp) - n * (n * D + A + B + D) * p
-    return (num << 2 * wp) // (D * ((1 << 2 * wp) - X * X))
+    nD = n * D
+    t = 2 * nD + A + B
+    span = (1 << 2 * wp) - X * X  # (1 - x^2) 2^(2 wp)
+    num = (nD * (((A - B) << wp) - t * X) * p >> wp) + 2 * (nD + A) * (nD + B) * p_prev
+    d = (num << 2 * wp) // (D * t * span)
+    num = ((((A - B) << wp) + (A + B + 2 * D) * X) * d >> wp) - n * (nD + A + B + D) * p
+    return p, d, (num << 2 * wp) // (D * span)
 
 
 def _fixed_sign(steps, X: int, wp: int) -> int:
@@ -322,8 +317,7 @@ def _refine(steps, seed: float, wp: int, threshold: int) -> int:
     X = (num << wp) // den
     for _ in range(_NEWTON_CAP):
         try:
-            p, d = _fixed_value_derivative(steps, X, wp)
-            dd = _fixed_second_derivative(steps, X, p, d, wp)
+            p, d, dd = _fixed_derivatives(steps, X, wp)
             step = (p * d << (wp + 1)) // (2 * d * d - p * dd)
         except ZeroDivisionError:
             raise ConvergenceFailure("a Halley step divided by zero") from None
@@ -348,8 +342,9 @@ def _certify(steps, roots: list[int], wp: int) -> None:
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
-def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The certified, rounded roots of P_n^(alpha,beta) (arguments validated).
+def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
+    """The n roots of P_n^(alpha,beta), refined until Halley steps drop
+    below 2^(16 - precision_bits) and certified by sign alternation.
 
     The certificate runs on the solver's integers, which are then rounded
     straight to the knot precision; an odd set with alpha = beta keeps its
@@ -358,6 +353,10 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
     A pure function of its arguments returning an immutable value, so threads
     share the cache; a race on a cold set only repeats deterministic work.
     """
+    _check_precision(precision_bits)
+    alpha, beta = _check_jacobi_params(alpha, beta)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     wp = precision_bits + _ROOT_GUARD_BITS
     steps = _integer_steps(alpha, beta, n)
     threshold = 1 << (wp + 16 - precision_bits)
@@ -380,16 +379,6 @@ def _jacobi_knot_set(n: int, alpha: Fraction, beta: Fraction, precision_bits: in
         alpha=alpha,
         beta=beta,
     )
-
-
-def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The n roots of P_n^(alpha,beta), refined until Halley steps drop
-    below 2^(16 - precision_bits) and certified by sign alternation."""
-    _check_precision(precision_bits)
-    alpha, beta = _check_jacobi_params(alpha, beta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _jacobi_knot_set(n, alpha, beta, precision_bits)
 
 
 #: Each family's builder and its parameters with their defaults, in the

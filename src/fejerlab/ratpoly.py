@@ -19,11 +19,7 @@ from typing import Iterable, Sequence
 
 
 class NotOdd(ValueError):
-    """A polynomial (or an integer parameter) required to be odd is not."""
-
-
-class ZeroConstantTerm(ValueError):
-    """Coefficient reversal needs a nonzero constant term."""
+    """An integer parameter required to be odd is not."""
 
 
 class DuplicateAbscissa(ValueError):
@@ -81,12 +77,6 @@ class RatPoly:
             out[k] += c
         return RatPoly(out)
 
-    def __sub__(self, other: RatPoly) -> RatPoly:
-        return self + (-other)
-
-    def __neg__(self) -> RatPoly:
-        return RatPoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
@@ -139,27 +129,6 @@ class RatPoly:
             [self.coeffs[k + p] * math.perm(k + p, p) for k in range(len(self.coeffs) - p)]
         )
 
-    def odd_part(self) -> RatPoly:
-        """Return W with self(x) = x * W(x^2).
-
-        Requires every even-degree coefficient to vanish (the polynomial is an
-        odd function); otherwise raises NotOdd.  deg W = (deg self - 1) / 2.
-        """
-        for k in range(0, len(self.coeffs), 2):
-            if self.coeffs[k] != 0:
-                raise NotOdd(f"nonzero even-degree coefficient at x^{k}")
-        return RatPoly(self.coeffs[1::2])
-
-    def reciprocal(self) -> RatPoly:
-        """Reverse the coefficients, mapping every root r to 1/r.
-
-        Requires a nonzero constant term (no root at zero); an involution on
-        such polynomials.
-        """
-        if not self.coeffs or self.coeffs[0] == 0:
-            raise ZeroConstantTerm("constant coefficient is zero")
-        return RatPoly(self.coeffs[::-1])
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "RatPoly('0')"
@@ -174,10 +143,6 @@ class RatPoly:
             num = "" if (mag == 1 and var) else str(mag)
             parts.append(f"{sign}{num}{var}")
         return f"RatPoly('{''.join(parts)}')"
-
-
-#: The monomial x, convenient for building polynomials.
-X = RatPoly([0, 1])
 
 
 def _chebyshev_walk(n: int, top: int) -> list[int]:

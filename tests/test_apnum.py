@@ -233,5 +233,7 @@ def test_package_exports():
     names = fejerlab.__all__
     assert len(names) == len(set(names))
     assert all(hasattr(fejerlab, name) for name in names)
-    for gone in ("pi", "cos", "sin", "sqrt", "DomainError", "to_apfloat"):
+    for gone in ("pi", "cos", "sin", "sqrt", "DomainError", "to_apfloat", "X", "ZeroConstantTerm"):
         assert gone not in names and not hasattr(fejerlab, gone)
+    for gone in ("odd_part", "reciprocal", "__sub__", "__neg__"):
+        assert not hasattr(fejerlab.RatPoly, gone)

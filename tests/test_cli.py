@@ -148,7 +148,7 @@ class TestVerifyEq1:
 
 class TestNumericFailure:
     def test_convergence_failure_exits_three(self, capsys, monkeypatch):
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
         code, out, err = run(
             capsys,
@@ -159,7 +159,7 @@ class TestNumericFailure:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_failed_certificate_exits_three(self, capsys, monkeypatch):
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         seeds = knots_mod._seed_roots
         monkeypatch.setattr(
             knots_mod, "_seed_roots", lambda steps, symmetric: [seeds(steps, symmetric)[0]] * len(steps)

@@ -64,6 +64,11 @@ class TestPowerFormula:
         with pytest.raises(ValueError):
             conjecture_power_formula(1, [3, 4, 5], [7, 9])
 
+    def test_empty_holdout_rejected(self):
+        # a fit checked on no holdout point is not confirmed by anything
+        with pytest.raises(ValueError, match="holdout_n must not be empty"):
+            conjecture_power_formula(1, [3, 5, 7], [])
+
 
 def exact(q):
     """An honest recompute for an exactly known rational source quantity."""

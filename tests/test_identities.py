@@ -47,6 +47,16 @@ class TestSin2Charpoly:
             assert ApFloat(0, 256) < root < ApFloat(1, 256)
             assert abs(w.evaluate(root)) <= tol
 
+    def test_read_from_the_walk_without_building_t_n(self, monkeypatch):
+        # W is c_1, c_3, ..., c_n of T_n, the walk the proofs read
+        def refuse(n):
+            raise AssertionError(f"chebyshev_T({n}) built")
+
+        monkeypatch.setattr(identities, "chebyshev_T", refuse)
+        w = sin2_charpoly(101)
+        monkeypatch.undo()
+        assert w == RatPoly(chebyshev_T(101).coeffs[1::2])
+
     def test_even_rejected(self):
         with pytest.raises(NotOdd):
             sin2_charpoly(4)
@@ -74,7 +84,7 @@ class TestInversePowerSum:
     @pytest.mark.parametrize("n", range(3, 202, 2))
     def test_matches_the_full_charpoly_route(self, n):
         # the oracle reverses all of W; n = 3, 5, 7 have m > (n-1)/2
-        full = newton_power_sums(sin2_charpoly(n).reciprocal(), 8)
+        full = newton_power_sums(RatPoly(sin2_charpoly(n).coeffs[::-1]), 8)
         for m in range(1, 9):
             assert inverse_power_sum(n, m) == full[m - 1], m
 
@@ -215,4 +225,4 @@ def test_exact_layer_reads_no_full_chebyshev_polynomial(monkeypatch):
     monkeypatch.undo()
     # the witness is built when it is read, and is still the full W
     for report in reports:
-        assert report.witness == chebyshev_T(report.n).odd_part()
+        assert report.witness == RatPoly(chebyshev_T(report.n).coeffs[1::2])

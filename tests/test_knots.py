@@ -227,7 +227,7 @@ class TestGaussJacobi:
         assert -one < k.points[0] and k.points[-1] < one
 
     def test_newton_cap_failure(self, monkeypatch):
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 2)
         with pytest.raises(ConvergenceFailure):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
@@ -244,7 +244,7 @@ class TestGaussJacobi:
     def test_duplicate_seed_fails_the_certificate(self, monkeypatch):
         # two seeds on one root refine to one knot twice: the set must be
         # refused, never returned with a root missing
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         seeds = knots_mod._seed_roots
 
         def duplicated(steps, symmetric):
@@ -276,12 +276,17 @@ class TestGaussJacobi:
         assert k.n == 54 and -1 < k.points[0] and k.points[-1] < 1
 
     def test_parameters_validated(self):
-        with pytest.raises(ValueError):
-            gauss_jacobi_knots(3, F(-3, 2), F(0), BITS)
+        # checked inside the cached builder, so every call raises: an error
+        # is never cached
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                gauss_jacobi_knots(3, F(-3, 2), F(0), BITS)
+            with pytest.raises(ValueError):
+                gauss_jacobi_knots(0, F(0), F(0), BITS)
 
     def test_concurrent_cold_solve(self):
         # four threads race to solve one cold knot set; all must get its bits
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         results, errors = [], []
 
         def build():
@@ -304,15 +309,20 @@ class TestGaussJacobi:
         assert errors == []
         assert len(results) == 4 and all(r == results[0] for r in results)
 
+    def test_the_builder_carries_its_cache(self):
+        # one cached builder, as for the closed-form families
+        assert not hasattr(knots_mod, "_jacobi_knot_set")
+        assert gauss_jacobi_knots.cache_info().maxsize == knots_mod._KNOT_SET_CAP
+
     def test_knot_set_cache_is_bounded_and_keeps_recent_use(self, monkeypatch):
-        knots_mod._jacobi_knot_set.cache_clear()
-        cap = knots_mod._jacobi_knot_set.cache_info().maxsize
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        cap = knots_mod.gauss_jacobi_knots.cache_info().maxsize
         hot = (F(1, 3), F(1, 5))
         for i in range(cap + 100):
             if i % (cap // 2) == 0:
                 gauss_jacobi_knots(3, *hot, 64)
             gauss_jacobi_knots(1, F(i, cap + 101), F(1, 2), 64)
-        assert knots_mod._jacobi_knot_set.cache_info().currsize <= cap
+        assert knots_mod.gauss_jacobi_knots.cache_info().currsize <= cap
         seeds, solved = knots_mod._seed_roots, []
 
         def counting(steps, symmetric):
@@ -359,7 +369,7 @@ class TestHalleyRefinement:
             steps = knots_mod._integer_steps(alpha, beta, n)
             for x in NEAR_EDGES:
                 X = self._fixed_point(x)
-                p, d = knots_mod._fixed_value_derivative(steps, X, wp)
+                p, d, _ = knots_mod._fixed_derivatives(steps, X, wp)
                 value, deriv = jacobi_eval(n, alpha, beta, ApFloat._wrap(from_man_exp(X, -wp), wp))
                 for fixed, libmp in ((p, value), (d, deriv)):
                     ref = libmp.to_fraction() * 2 ** wp
@@ -378,8 +388,7 @@ class TestHalleyRefinement:
                 # the oracle obeys the Jacobi equation exactly
                 slope = beta - alpha - (alpha + beta + 2) * xq
                 assert (1 - xq * xq) * s + slope * d + n * (n + alpha + beta + 1) * v == 0
-                p_fixed, d_fixed = knots_mod._fixed_value_derivative(steps, X, wp)
-                second = knots_mod._fixed_second_derivative(steps, X, p_fixed, d_fixed, wp)
+                _, _, second = knots_mod._fixed_derivatives(steps, X, wp)
                 ref = s * 2 ** wp
                 # 1 - x^2 near 2^-19 divides twice on the way to P_n''
                 assert abs(second - ref) * 2 ** wp <= 2 ** 48 * max(2 ** wp, abs(ref)), (n, x)
@@ -387,15 +396,15 @@ class TestHalleyRefinement:
     @pytest.mark.parametrize("bits, per_root", [(256, 3), (512, 4)])
     def test_cold_set_evaluations(self, monkeypatch, bits, per_root):
         # Halley from the asymptotic seeds; Newton took about 4 and 5 per root
-        knots_mod._jacobi_knot_set.cache_clear()
+        knots_mod.gauss_jacobi_knots.cache_clear()
         calls = []
-        original = knots_mod._fixed_value_derivative
+        original = knots_mod._fixed_derivatives
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(knots_mod, "_fixed_value_derivative", counting)
+        monkeypatch.setattr(knots_mod, "_fixed_derivatives", counting)
         n = 24
         gauss_jacobi_knots(n, F(1, 3), F(1, 5), bits)
         assert n <= len(calls) <= per_root * n
