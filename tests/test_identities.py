@@ -57,6 +57,20 @@ class TestSin2Charpoly:
         monkeypatch.undo()
         assert w == RatPoly(chebyshev_T(101).coeffs[1::2])
 
+    @pytest.mark.parametrize("n", [3, 5, 9, 21])
+    def test_is_the_odd_part_of_t_n(self, n):
+        # T_n(x) = x W(x^2): W's coefficients are T_n's odd ones, in order
+        t = chebyshev_T(n)
+        assert not any(t.coeffs[0::2])
+        assert sin2_charpoly(n) == RatPoly(t.coeffs[1::2])
+
+    def test_reversal_has_reciprocal_roots(self):
+        # the power-sum oracle reverses W: 4y - 3 becomes 4 - 3y, whose root
+        # 4/3 = 1/sin^2(pi/3)
+        reversed_w = RatPoly(sin2_charpoly(3).coeffs[::-1])
+        assert reversed_w == RatPoly([4, -3])
+        assert reversed_w.evaluate(F(4, 3)) == 0
+
     def test_even_rejected(self):
         with pytest.raises(NotOdd):
             sin2_charpoly(4)

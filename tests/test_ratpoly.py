@@ -192,6 +192,11 @@ class TestChebyshev:
     def test_odd_n_is_odd_function(self, n):
         assert not any(chebyshev_T(n).coeffs[0::2])
 
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    def test_even_n_is_not_odd(self, n):
+        # T_n(0) = (-1)^(n/2): an even T_n has no odd part to read W from
+        assert chebyshev_T(n).coeffs[0] == (-1) ** (n // 2)
+
 
 def poly_from_roots(roots):
     out = RatPoly([1])
