@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .apnum import ApFloat, _common_scale
+from .apnum import ApFloat
 from .hermite import derivative_sum, hermite_fejer_basis
 from .identities import inverse_power_sum
 from .knots import KnotSet, make_knots
@@ -153,8 +153,7 @@ def _nearest_knot(knots: KnotSet, y0: ApFloat) -> int:
     """Index of the knot nearest y0, the lowest one on a tie.  The distances
     are compared exactly, on the knots and y0 as integers over one power of
     two, so no rounding can merge two of them."""
-    xs, _ = _common_scale([x.raw for x in knots.points] + [y0.raw])
-    y = xs.pop()
+    xs, y, _ = knots.aligned(y0)
     return min(range(len(xs)), key=lambda i: abs(xs[i] - y))
 
 

@@ -31,7 +31,10 @@ and its basis once.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
-integers, and so is every difference x_i - x_j and y0 - x_j.  A running
+integers, and so is every difference x_i - x_j and y0 - x_j.  The knot set
+keeps its integer form (KnotSet.ints over 2^KnotSet.scale) from its own
+validation, and KnotSet.aligned adds y0 to it, shifting the knot integers
+only when y0 needs a finer scale, so no call rebuilds it.  A running
 product is a block of Python ints sharing one exponent (block floating
 point, Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 3.1):
 each factor is applied exactly and the block is rounded once to the working
@@ -42,6 +45,12 @@ block once per i, before squaring, in one more block rounding: the block is
 then l_i(y0 + t) = w_i g_i(t).  Each coefficient [t^p] h_i(y0 + t) is
 formed exactly from s_i, y0 - x_i and that block and kept as an exact
 integer pair (V, e), with value V 2^e; a term h_i^(p)(y0) is p! V 2^e.
+The term is grouped so that no product has two wide operands: with
+a_i = 1 - 2 s_i (y0 - x_i), it is c_p a_i - 2 s_i c_(p-1) for the
+coefficients c_k of l_i^2, and _rows multiplies out a_i, forming
+c_p - 2 s_i ((y0 - x_i) c_p + c_(p-1)) on one exponent.  Both are the same
+exact integer; the regrouped one takes a knot-sized and a slope-sized
+product instead of two products by a_i, whose integer is as wide as both.
 Only w_i = 1/g_i(0) and s_i = g_i'(0)/g_i(0) are libmp divisions.  Error
 model: one rounding per block stage, at relative size 2^-(wp + 32) of the
 block's leading coefficients, and none per term.
@@ -82,7 +91,7 @@ from typing import Sequence
 
 from mpmath.libmp import fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_shift
 
-from .apnum import _RND, ApFloat, NumPoly, _check_precision, _common_scale, _man_exp, _renorm, max_abs
+from .apnum import _RND, ApFloat, NumPoly, _check_precision, _man_exp, _renorm, max_abs
 from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
 from .ratpoly import chebyshev_T
 
@@ -162,7 +171,7 @@ def hermite_fejer_basis(knots: KnotSet) -> FundamentalBasis:
     """
     wp = _guarded_precision(knots)
     bits = wp + _BLOCK_GUARD_BITS
-    xs, L = _common_scale([x.raw for x in knots.points])
+    xs, L = knots.ints, knots.scale
     weights, slopes = [], []
     for i, xi in enumerate(xs):
         g0, g1, E = 1, 0, -L * (len(xs) - 1)  # g_i(t) = (g0 + g1 t) 2^E + O(t^2)
@@ -202,8 +211,7 @@ def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
     """
     n, bits = basis.n, basis.working_precision_bits + _BLOCK_GUARD_BITS
     q = max(1, min(p_max, 2 * n - 1))
-    xs, L = _common_scale([x.raw for x in basis.knots.points] + [y0.raw])
-    y = xs.pop()
+    xs, y, L = basis.knots.aligned(y0)
     d = [y - x for x in xs]
     prefix = [([1] + [0] * q, 0)]
     for dj in d[:-1]:
@@ -213,7 +221,8 @@ def _jet(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> tuple:
         (a, ea), (b, eb) = prefix[i], suffix
         dots = [sum(map(mul, a, b[k::-1])) for k in range(q + 1)]
         g[i] = _renorm(dots, ea + eb, bits)
-        suffix = _times_factor(suffix, d[i], L, bits)
+        if i:  # g_0 reads the suffix j > 0 and no further one
+            suffix = _times_factor(suffix, d[i], L, bits)
     return tuple(d), L, tuple(g)
 
 
@@ -228,24 +237,34 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
     [t^(p-1)] of l_i^2, each formed once however many rows read it, and the
     rest is exact.  Every h_i has degree <= 2n-1, so rows above that are
     exact zeros.
+
+    With l_i = c 2^el, 2 s_i = ms 2^(es+1), y0 - x_i = d_i 2^-L and c_k the
+    coefficients of l_i^2 on 2^(2 el), the term is
+
+        (c_p << v) - (ms << u) (d_i c_p + (c_(p-1) << L)),  on 2^(ea + 2 el),
+
+    with S = es + 1 - L, ea = min(0, S), u = S - ea and v = -ea.  That is
+    a_i = A 2^ea with A = 2^v - ms d_i 2^u, multiplied out: the same integer
+    as A c_p - (ms << (u + L)) c_(p-1), but each product has one operand of
+    knot or slope size, d_i or ms, instead of A, which has as many bits as
+    both.
     """
     n, bits = basis.n, basis.working_precision_bits + _BLOCK_GUARD_BITS
     d, L, gs = jet
     ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0][0])))
     rows = [[(0, 0)] * n for _ in orders]
-    live = [(row, p) for row, p in zip(rows, orders) if p in ks]
+    # each live row with the index of its c_p in ks; that index is 0 only at p = 0
+    live = [(row, p - ks.start) for row, p in zip(rows, orders) if p in ks]
     for i, ((g, eg), (mw, ew), (ms, es)) in enumerate(zip(gs, basis.weights, basis.slopes)):
-        l, el = _renorm([mw * c for c in g], eg + ew, bits)
-        es += 1  # 2 s_i = ms 2^es
-        # a_i = 1 - ms d[i] 2^(es - L) = A 2^ea, exactly
-        ea = min(0, es - L)
-        A = (1 << -ea) - (ms * d[i] << (es - L - ea))
-        e = min(ea, es)
-        A, ms = A << (ea - e), ms << (es - e)  # both on exponent e
-        e += 2 * el
-        l2 = {k: _square_coeff(l, k) for k in ks}
-        for row, p in live:
-            row[i] = (A * l2[p] - ms * l2[p - 1] if p else A * l2[0], e)
+        l, el = _renorm([mw * gk for gk in g], eg + ew, bits)
+        S = es + 1 - L
+        ea = min(0, S)
+        msu, v, di = ms << (S - ea), -ea, d[i]
+        e = ea + 2 * el
+        c = [_square_coeff(l, k) for k in ks]
+        for row, k in live:
+            lower = c[k - 1] << L if k else 0
+            row[i] = ((c[k] << v) - msu * (di * c[k] + lower), e)
     return tuple(map(tuple, rows))
 
 
@@ -274,7 +293,7 @@ def chebyshev_closed_form(n: int, precision_bits: int) -> tuple[NumPoly, ...]:
     knots = chebyshev1_knots(n, precision_bits)
     wp = _guarded_precision(knots)
     bits = wp + _BLOCK_GUARD_BITS
-    xs, L = _common_scale([x.raw for x in knots.points])
+    xs, L = knots.ints, knots.scale
     c = [int(a) for a in chebyshev_T(n).coeffs]
     n2 = from_int(n * n)
     hs = []

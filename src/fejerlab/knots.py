@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.libmp import (
@@ -45,7 +45,7 @@ from mpmath.libmp import (
     mpf_pos,
 )
 
-from .apnum import _RND, ApFloat, _check_precision, _common_scale
+from .apnum import _RND, ApFloat, _check_precision, _common_scale, _man_exp
 
 #: Extra bits carried while polishing roots, beyond the requested precision.
 _ROOT_GUARD_BITS = 32
@@ -74,6 +74,14 @@ class KnotSet:
     Knots closer than 2^(16 - precision_bits) are rejected outright, since the
     fundamental-polynomial construction divides by knot differences.  The gaps
     are compared exactly, on the knots as integers over one power of two.
+
+    That integer form is kept: points[j] = ints[j] 2^-scale exactly, for the
+    least scale >= 0, which the integer kernels read instead of rebuilding it
+    (aligned adds a point y0 to it).  It is fixed by the points' values, so
+    it stays out of init, eq and repr.  So is the hash, taken once at
+    construction from the precision and the integer form: hash(ks) is O(1)
+    and hashes no ApFloat, and equal sets hash equal.  It hashes only ints,
+    whose hashes are the same in every process.
     """
 
     family: str
@@ -82,6 +90,9 @@ class KnotSet:
     precision_bits: int
     alpha: Fraction | None = None
     beta: Fraction | None = None
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != len(self.points) or self.n < 1:
@@ -93,6 +104,22 @@ class KnotSet:
                 raise KnotSpacingError(
                     f"knot gap at most 2^{16 - self.precision_bits} in family {self.family}"
                 )
+        ints = tuple(xs)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", L)
+        object.__setattr__(self, "_hash", hash((self.precision_bits, L, ints)))
+
+    def __hash__(self):
+        return self._hash
+
+    def aligned(self, y0: ApFloat) -> tuple[tuple[int, ...], int, int]:
+        """(xs, y, L) with points[j] = xs[j] 2^-L and y0 = y 2^-L exactly, for
+        the least L >= 0: the stored integer form, its integers shifted only
+        when y0 needs a finer scale than the knots."""
+        m, e = _man_exp(y0.raw)
+        if m and -e > self.scale:
+            return tuple(x << (-e - self.scale) for x in self.ints), m, -e
+        return self.ints, m << (e + self.scale), self.scale
 
 
 def _cos_pi(num: int, den: int, wp: int):

@@ -11,6 +11,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, NumPoly, max_abs
+from fejerlab.conjecture import _nearest_knot
 from fejerlab.hermite import (
     LengthMismatch,
     _jet,
@@ -31,7 +32,7 @@ from fejerlab.knots import (
     make_knots,
 )
 from fejerlab.ratpoly import RatPoly
-from exact_oracle import exact_rows
+from exact_oracle import error_ulps, exact_rows, term_errors
 from reference import pow2
 
 BITS = 256
@@ -114,7 +115,7 @@ class TestHermiteFejerBasis:
     def test_equal_knot_sets_share_one_cached_basis(self):
         # two equal but distinct sets: the basis cache is keyed by value
         a = chebyshev1_knots(5, BITS)
-        b = KnotSet(**vars(a))
+        b = KnotSet(a.family, a.n, a.points, a.precision_bits, a.alpha, a.beta)
         assert a is not b and a == b
         assert hermite_fejer_basis(a) is hermite_fejer_basis(b)
 
@@ -429,6 +430,32 @@ EXTREME_FAMILIES = [
 def _rounded(v, e, bits):
     """V 2^e rounded once to bits."""
     return ApFloat._wrap(from_man_exp(v, e, bits, round_nearest), bits)
+
+
+class TestY0Alignment:
+    """y0 joins the knots' stored integer form: a y0 on a coarser scale than
+    the knots leaves their integers as they are, a finer one shifts them.
+    Both the jet and _nearest_knot read it; the rows are checked against the
+    exact oracle on the rounded knots and y0."""
+
+    @pytest.mark.parametrize("family", ["chebyshev1", "equispaced"])
+    @pytest.mark.parametrize(
+        "y0, finer", [(ApFloat(F(1, 2), 64), False), (ApFloat(F(1, 3), 512), True)], ids=["coarser", "finer"]
+    )
+    def test_jet_and_nearest_knot(self, family, y0, finer):
+        knots = make_knots(family, 9, 64)
+        basis = hermite_fejer_basis(knots)
+        d, L, _ = jet = _jet(basis, 8, y0)
+        assert (L > knots.scale) == finer
+        exact_d = [y0.to_fraction() - x.to_fraction() for x in knots.points]
+        assert [F(dj, 2 ** L) for dj in d] == exact_d
+        distances = [abs(v) for v in exact_d]
+        assert _nearest_knot(knots, y0) == distances.index(min(distances))
+        exact = exact_rows(knots.points, y0, 8)
+        for p, row in zip(range(1, 9), _rows(basis, jet, range(1, 9))):
+            terms = [(v * math.factorial(p), e) for v, e in row]
+            # the kernel's bound on the oracle grid (test_exact_oracle.py); here under 1 ulp
+            assert error_ulps(term_errors(terms, exact[p]), exact[p], basis.working_precision_bits) <= 16, p
 
 
 class TestDerivativeExtremes:

@@ -12,6 +12,7 @@ from mpmath.libmp import from_man_exp
 
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, _man_exp
+from fejerlab.hermite import hermite_fejer_basis
 from fejerlab.knots import (
     ConvergenceFailure,
     KnotSet,
@@ -538,6 +539,57 @@ class TestKnotSetGuards:
         pts = (ApFloat(F(1), BITS), ApFloat(F(0), BITS))
         with pytest.raises(KnotSpacingError):
             KnotSet(family="equispaced", n=2, points=pts, precision_bits=BITS)
+
+
+class TestKnotSetIntegerForm:
+    """The stored integer form, its alignment with a point y0, and the O(1)
+    value hash that the basis cache keys on."""
+
+    @pytest.mark.parametrize("family", ["chebyshev1", "equispaced", "gauss_jacobi"])
+    def test_points_are_the_integers_over_the_least_scale(self, family):
+        ks = make_knots(family, 9, 64)
+        assert [F(x, 2 ** ks.scale) for x in ks.ints] == [p.to_fraction() for p in ks.points]
+        assert ks.scale == 0 or any(x % 2 for x in ks.ints)
+
+    @pytest.mark.parametrize("family", ["chebyshev1", "equispaced"])
+    @pytest.mark.parametrize(
+        "y0, finer",
+        [(ApFloat(0, 64), False), (ApFloat(F(1, 2), 64), False), (ApFloat(F(1, 3), 512), True)],
+        ids=["zero", "coarser", "finer"],
+    )
+    def test_aligned_shifts_the_knot_integers_only_for_a_finer_y0(self, family, y0, finer):
+        ks = make_knots(family, 9, 64)
+        xs, y, L = ks.aligned(y0)
+        assert (xs is not ks.ints) == finer and (L > ks.scale) == finer
+        assert [F(x, 2 ** L) for x in xs] == [p.to_fraction() for p in ks.points]
+        assert F(y, 2 ** L) == y0.to_fraction()
+
+    def test_equal_sets_built_separately_hash_equal_and_share_a_basis(self):
+        a = gauss_jacobi_knots(7, F(1, 3), F(1, 5), 128)
+        b = KnotSet(a.family, a.n, tuple(ApFloat(p.to_fraction(), 128) for p in a.points), 128, a.alpha, a.beta)
+        assert a is not b and a.points is not b.points
+        assert a == b and hash(a) == hash(b)
+        assert hermite_fejer_basis(a) is hermite_fejer_basis(b)
+
+    def test_one_point_moved_by_one_ulp_compares_unequal(self):
+        a = chebyshev1_knots(5, 64)
+        m, e = _man_exp(a.points[3].raw)
+        ulp = e + m.bit_length() - 64  # the point is positive
+        moved = ApFloat._wrap(from_man_exp((m << (e - ulp)) + 1, ulp), 64)
+        b = KnotSet(a.family, a.n, a.points[:3] + (moved,) + a.points[4:], 64)
+        assert moved.to_fraction() - a.points[3].to_fraction() == F(2) ** ulp
+        assert a != b
+
+    def test_hash_reads_no_point(self, monkeypatch):
+        calls = []
+        original = ApFloat.__hash__
+        monkeypatch.setattr(ApFloat, "__hash__", lambda self: calls.append(1) or original(self))
+        ks = KnotSet("chebyshev1", 48, chebyshev1_knots(48, 256).points, 256)
+        hash(ks)
+        hermite_fejer_basis(ks)
+        assert calls == []
+        hash(ks.points[0])
+        assert calls == [1]  # the counter is live
 
 
 class TestMakeKnots:
