@@ -8,16 +8,19 @@ Townsend, SIAM J. Sci. Comput. 35(2), 2013), which float64 Newton on the
 three-term recurrence, with Maehly deflation against the roots already found
 (Stoer & Bulirsch, Introduction to Numerical Analysis, ch. 5), turns into a
 seed in about two steps.  Halley in Python-int fixed point at the precision
-plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed,
-3 evaluations per root at 256 bits and about 4 at 512 (low-precision seeds
-as in Johansson & Mezzarobba, arXiv:1802.03948).  An evaluation,
+plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed
+(low-precision seeds as in Johansson & Mezzarobba, arXiv:1802.03948).  It
+stops on the error that the cubic recursion predicts after the step just
+taken, so a root takes 2 evaluations at 256 bits and 3 at 512.  An evaluation,
 _fixed_derivatives, runs the recurrence for P_n only: P_n' follows from P_n
 and P_(n-1) by a classical identity, and P_n'' from the Jacobi differential
 equation.  Under parity, alpha = beta, only the positive half is solved and
 then mirrored, so an odd set carries the exact root 0 in the middle.
 Robustness comes from a certificate, not from the path to the roots: the
 signs of P_n at -1, at the midpoints of consecutive roots and at 1 must
-alternate, which proves exactly one root in each cell.  A set that fails it
+alternate, which proves exactly one root in each cell.  The signs are read
+at a low precision that grows only with log n, and again at full precision
+only where that read is undecided.  A set that fails the certificate
 raises ConvergenceFailure; a wrong knot is never returned.  No external root
 finder is involved.  A finished set is a pure function of (n, alpha, beta,
 precision), so gauss_jacobi_knots carries one functools.lru_cache bounded at
@@ -331,14 +334,20 @@ def _fixed_sign(steps, X: int, wp: int) -> int:
     return 1 if p > 0 else -1
 
 
-def _refine(steps, seed: float, wp: int, threshold: int) -> int:
-    """Halley in fixed point from a float seed until the step drops below
-    threshold (in units of 2^-wp); returns the root times 2^wp.
+def _refine(steps, seed: float, wp: int) -> int:
+    """Halley in fixed point from a float seed; returns the root times 2^wp.
 
     The step is 2 P_n P_n' / (2 P_n'^2 - P_n P_n''): one recurrence gives
-    P_n and P_n', and P_n'' costs a few big-int operations more.  The error
-    falls cubically, so a float seed takes 3 evaluations at 256 bits and
-    about 4 at 512, where Newton takes 4 and 5.
+    P_n and P_n', and P_n'' costs a few big-int operations more.  Halley's
+    error falls as e' ~ C e^3, C = (P_n''/2P_n')^2 - P_n'''/(6 P_n'), and
+    the step just taken is e to first order.  So the loop stops as soon as
+    |step|^3 (1 + (P_n''/P_n')^2) < 2^-(wp + 16), read from bit lengths:
+    the error left is then below the fixed point's own resolution, and one
+    more evaluation would only confirm it.  The proxy drops the P_n''' part
+    of C, about n^2 / (6 (1 - x^2)) at a root by the differential equation;
+    the 16-bit margin and the _ROOT_GUARD_BITS below the knot precision
+    absorb it.  A float seed takes 2 evaluations at 256 bits and 3 at 512,
+    where Newton takes 4 and 5.
     """
     num, den = seed.as_integer_ratio()
     X = (num << wp) // den
@@ -349,7 +358,9 @@ def _refine(steps, seed: float, wp: int, threshold: int) -> int:
         except ZeroDivisionError:
             raise ConvergenceFailure("a Halley step divided by zero") from None
         X -= step
-        if abs(step) < threshold:
+        # |step| < 2^s and |P''/P'| < 2^(r+1) give |step|^3 (1 + (P''/P')^2)
+        # < 2^(3s + 2 max(r, 0) + 3) <= 2^(2 wp - 16) in units of 2^(-3 wp)
+        if 3 * step.bit_length() + 2 * max(dd.bit_length() - d.bit_length(), 0) < 2 * wp - 18:
             return X
     raise ConvergenceFailure("Halley iteration exceeded its step cap")
 
@@ -358,20 +369,38 @@ def _certify(steps, roots: list[int], wp: int) -> None:
     """Prove one root of P_n in each cell between -1, the midpoints of
     consecutive roots, and 1: the signs of P_n there must alternate, ending
     positive at 1 (P_n(1) > 0 for alpha > -1).  Raises ConvergenceFailure
-    otherwise, never returns a wrong knot set."""
+    otherwise, never returns a wrong knot set.
+
+    Each cut is first rounded to low = min(wp, 96 + 2 bitlen(n)) bits and
+    its sign read there, under the same noise bound of _fixed_sign.  Only a
+    cut whose rounding leaves the open interval between its two roots, or
+    whose sign is undecided at low, is read again at wp.  Either way the
+    proof is the same: alternating signs at points that separate the roots.
+    """
     one, n = 1 << wp, len(roots)
     if not (-one < roots[0] and roots[-1] < one and all(a < b for a, b in zip(roots, roots[1:]))):
         raise ConvergenceFailure("Jacobi roots are not distinct and inside (-1, 1)")
+    low = min(wp, 96 + 2 * n.bit_length())
+    shift = wp - low
     cuts = [-one, *((a + b) >> 1 for a, b in zip(roots, roots[1:])), one]
+    fences = [-one - 1, *roots, one + 1]
     for i, cut in enumerate(cuts):
-        if _fixed_sign(steps, cut, wp) != (-1) ** (n - i):
+        near = (cut + (1 << shift >> 1)) >> shift  # the cut rounded to low bits
+        sign = 0
+        if fences[i] < near << shift < fences[i + 1]:
+            sign = _fixed_sign(steps, near, low)
+        if not sign:
+            sign = _fixed_sign(steps, cut, wp)
+        if sign != (-1) ** (n - i):
             raise ConvergenceFailure("Jacobi root certificate failed: signs do not alternate")
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The n roots of P_n^(alpha,beta), refined until Halley steps drop
-    below 2^(16 - precision_bits) and certified by sign alternation.
+    """The n roots of P_n^(alpha,beta), refined by Halley at precision_bits
+    + _ROOT_GUARD_BITS until the predicted error of the last step is below
+    that fixed point's resolution (2 evaluations per root at 256 bits, 3 at
+    512), and certified by sign alternation, read at low precision first.
 
     The certificate runs on the solver's integers, which are then rounded
     straight to the knot precision; an odd set with alpha = beta keeps its
@@ -386,13 +415,12 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
         raise ValueError("n must be >= 1")
     wp = precision_bits + _ROOT_GUARD_BITS
     steps = _integer_steps(alpha, beta, n)
-    threshold = 1 << (wp + 16 - precision_bits)
     symmetric = alpha == beta
     try:
         seeds = _seed_roots(steps, symmetric)
     except OverflowError:
         raise ConvergenceFailure("Jacobi parameters overflow the float seed stage") from None
-    roots = [_refine(steps, seed, wp, threshold) for seed in seeds]
+    roots = [_refine(steps, seed, wp) for seed in seeds]
     if symmetric:
         # P_n has the parity of n: mirror the positive half, around 0 for odd n.
         roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots

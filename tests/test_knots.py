@@ -8,7 +8,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, _man_exp
@@ -256,6 +256,36 @@ class TestGaussJacobi:
         with pytest.raises(ConvergenceFailure):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
 
+    def test_root_moved_into_its_neighbours_cell_fails_the_certificate(self):
+        # knot 1 moved past the midpoint towards knot 2, the order kept: the
+        # cell from -1 to the new first midpoint then holds two roots of P_n
+        n, wp = 24, BITS + knots_mod._ROOT_GUARD_BITS
+        steps = knots_mod._integer_steps(F(1, 3), F(1, 5), n)
+        roots = [knots_mod._refine(steps, seed, wp) for seed in knots_mod._seed_roots(steps, False)]
+        knots_mod._certify(steps, roots, wp)
+        moved = roots[2] - (roots[2] - roots[1]) // 8
+        assert (roots[0] + moved) >> 1 > roots[1]
+        with pytest.raises(ConvergenceFailure, match="signs do not alternate"):
+            knots_mod._certify(steps, [roots[0], moved, *roots[2:]], wp)
+
+    def test_undecided_low_precision_cut_is_read_again_at_wp(self, monkeypatch):
+        # every low-precision sign forced to 0: each cut falls back to one
+        # read at wp, and the set is the one the low reads certified
+        n, alpha, beta = 24, F(1, 3), F(1, 5)
+        wp, low = BITS + knots_mod._ROOT_GUARD_BITS, 96 + 2 * n.bit_length()
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        expected = gauss_jacobi_knots(n, alpha, beta, BITS).points
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        sign, reads = knots_mod._fixed_sign, []
+
+        def undecided_below_wp(steps, X, at):
+            reads.append(at)
+            return sign(steps, X, at) if at == wp else 0
+
+        monkeypatch.setattr(knots_mod, "_fixed_sign", undecided_below_wp)
+        assert gauss_jacobi_knots(n, alpha, beta, BITS).points == expected
+        assert reads == [low, wp] * (n + 1)
+
     @pytest.mark.parametrize(
         "alpha, beta", [(F(0), F(0)), (F(-99, 100), F(7)), (F(9), F(-99, 100)), (F(1, 3), F(1, 5))]
     )
@@ -394,21 +424,41 @@ class TestHalleyRefinement:
                 # 1 - x^2 near 2^-19 divides twice on the way to P_n''
                 assert abs(second - ref) * 2 ** wp <= 2 ** 48 * max(2 ** wp, abs(ref)), (n, x)
 
-    @pytest.mark.parametrize("bits, per_root", [(256, 3), (512, 4)])
+    @pytest.mark.parametrize("bits, per_root", [(256, 2), (512, 3)])
     def test_cold_set_evaluations(self, monkeypatch, bits, per_root):
-        # Halley from the asymptotic seeds; Newton took about 4 and 5 per root
+        # Halley from the asymptotic seeds, stopped on the predicted error of
+        # the step just taken; Newton took about 4 and 5 per root.  The
+        # certificate reads every cut at its low precision, none at wp.
         knots_mod.gauss_jacobi_knots.cache_clear()
-        calls = []
-        original = knots_mod._fixed_derivatives
+        calls, full = [], []
+        derivatives, sign = knots_mod._fixed_derivatives, knots_mod._fixed_sign
+        wp = bits + knots_mod._ROOT_GUARD_BITS
 
         def counting(*args):
             calls.append(1)
-            return original(*args)
+            return derivatives(*args)
+
+        def counting_sign(steps, X, at):
+            if at == wp:
+                full.append(X)
+            return sign(steps, X, at)
 
         monkeypatch.setattr(knots_mod, "_fixed_derivatives", counting)
+        monkeypatch.setattr(knots_mod, "_fixed_sign", counting_sign)
         n = 24
         gauss_jacobi_knots(n, F(1, 3), F(1, 5), bits)
         assert n <= len(calls) <= per_root * n
+        assert full == []
+
+    def test_halley_cap_failure(self, monkeypatch):
+        # good float seeds, then one Halley step allowed where 256 bits need
+        # two: the fixed-point loop, not the seed stage, must give up
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        seeds = knots_mod._seed_roots(knots_mod._integer_steps(F(1, 7), F(2, 7), 8), False)
+        monkeypatch.setattr(knots_mod, "_seed_roots", lambda steps, symmetric: seeds)
+        monkeypatch.setattr(knots_mod, "_NEWTON_CAP", 1)
+        with pytest.raises(ConvergenceFailure, match="Halley iteration exceeded its step cap"):
+            gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
 
     def test_seed_iterations_per_root(self, monkeypatch):
         # (alpha, beta) drawn from (-1, 3]; the cosine starts took about 6
@@ -488,6 +538,35 @@ class TestPinnedBits:
         assert _knot_digest(cases) == (
             "39f3adf0b997a8e4bffd0a67d21b894271306cfe50121811487e23bb44956099"
         )
+
+
+def _fresh_pairs(count, seed):
+    """(alpha, beta) pairs drawn as the jacobi_explore benchmark draws its
+    fresh ones: each a fraction in (-1, 3] over a denominator in 7..97."""
+    rng = random.Random(seed)
+
+    def one():
+        q = rng.randint(7, 97)
+        return F(rng.randint(1 - q, 3 * q), q)
+
+    return [(one(), one()) for _ in range(count)]
+
+
+class TestCorrectRounding:
+    # the b-bit set is the 2b-bit set rounded to nearest at b bits, whatever
+    # path the solver takes to its roots; the first fresh alphas also make
+    # symmetric pairs, so both parity branches are read
+    FRESH = _fresh_pairs(4, 20261020)
+    PAIRS = FRESH + [(a, a) for a, _ in FRESH[:2]] + EXTREME_PAIRS
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    @pytest.mark.parametrize("alpha, beta", PAIRS)
+    def test_set_is_the_doubled_precision_set_rounded(self, alpha, beta, bits):
+        for n in (1, 2, 3, 8, 13, 24, 48):
+            points = gauss_jacobi_knots(n, alpha, beta, bits).points
+            finer = gauss_jacobi_knots(n, alpha, beta, 2 * bits).points
+            rounded = [from_man_exp(*_man_exp(p.raw), bits, round_nearest) for p in finer]
+            assert [p.raw for p in points] == rounded, n
 
 
 class TestKnotSetGuards:
