@@ -7,26 +7,33 @@ from the interior asymptotic formula of Gatteschi and Pittaluga (as in Hale &
 Townsend, SIAM J. Sci. Comput. 35(2), 2013), which float64 Newton on the
 three-term recurrence, with Maehly deflation against the roots already found
 (Stoer & Bulirsch, Introduction to Numerical Analysis, ch. 5), turns into a
-seed in about two steps.  Halley in Python-int fixed point at the precision
-plus _ROOT_GUARD_BITS, on the exact integer recurrence, refines each seed
-(low-precision seeds as in Johansson & Mezzarobba, arXiv:1802.03948).  It
-stops on the error that the cubic recursion predicts after the step just
-taken, so a root takes 2 evaluations at 256 bits and 3 at 512.  An evaluation,
-_fixed_derivatives, runs the recurrence for P_n only: P_n' follows from P_n
-and P_(n-1) by a classical identity, and P_n'' from the Jacobi differential
-equation.  Under parity, alpha = beta, only the positive half is solved and
-then mirrored, so an odd set carries the exact root 0 in the middle.
-Robustness comes from a certificate, not from the path to the roots: the
-signs of P_n at -1, at the midpoints of consecutive roots and at 1 must
-alternate, which proves exactly one root in each cell.  The signs are read
-at a low precision that grows only with log n, and again at full precision
-only where that read is undecided.  A set that fails the certificate
-raises ConvergenceFailure; a wrong knot is never returned.  No external root
-finder is involved.  A finished set is a pure function of (n, alpha, beta,
-precision), so gauss_jacobi_knots carries one functools.lru_cache bounded at
-_KNOT_SET_CAP sets, which shares it between calls and threads, as each
-closed-form family's builder does; make_knots hands back the same frozen set
-for a repeated request.
+seed in about two steps.  Halley in Python-int fixed point, on the exact
+integer recurrence, refines each seed on a precision ladder (as Johansson &
+Mezzarobba, arXiv:1802.03948, do for Newton): each step runs at the
+precision its result needs, and only the last at the knot precision plus
+_ROOT_GUARD_BITS.  It stops on the error that the cubic recursion predicts
+after the step just taken, so a root takes one evaluation below that
+precision and one at it at 256 bits, and at most three at 512.  An
+evaluation, _fixed_derivatives, runs the recurrence for P_n only: P_n'
+follows from P_n and P_(n-1) by a classical identity, and P_n'' from the
+Jacobi differential equation.  Under parity, alpha = beta, only the positive
+half is solved and then mirrored, so an odd set carries the exact root 0 in
+the middle.
+Robustness comes from a proof, not from the path to the roots.  The last
+evaluation of each root also proves, from the P_n and P_n' it holds and a
+bound on P_n'' from the differential equation, that an interval of radius
+r_i around the point it was made at holds exactly one root of P_n (r_i is
+about 2^-150 at 256 bits).  The n intervals must be disjoint, lie inside
+(-1, 1) and each hold their knot, so they isolate all n roots, and each knot,
+before it is rounded, lies within 2 r_i of a distinct root of P_n.  A set
+that fails the proof raises ConvergenceFailure; a knot outside its interval
+is never returned.  That each knot is the correctly rounded root is tested,
+not proved (ROADMAP.md, item 5).  No external root finder is involved.  A
+finished set is a pure function of (n, alpha, beta, precision), so
+gauss_jacobi_knots carries one functools.lru_cache bounded at _KNOT_SET_CAP
+sets, which shares it between calls and threads, as each closed-form
+family's builder does; make_knots hands back the same frozen set for a
+repeated request.
 make_knots is the one place that knows the families: its table maps each tag
 in FAMILIES to its builder and to the builder's parameters with their
 defaults, and rejects a parameter of another family.
@@ -63,7 +70,7 @@ _KNOT_SET_CAP = 64
 
 class ConvergenceFailure(RuntimeError):
     """A root iteration exceeded its step cap, or a Jacobi knot set failed its
-    sign-alternation certificate (either indicates a precision bug)."""
+    root-isolation proof (either indicates a precision bug)."""
 
 
 class KnotSpacingError(ValueError):
@@ -290,8 +297,8 @@ def _seed_roots(steps, symmetric: bool) -> list[float]:
     return sorted(roots)
 
 
-def _fixed_derivatives(steps, X: int, wp: int) -> tuple[int, int, int]:
-    """(P_n, P_n', P_n'') at x = X 2^-wp, each scaled by 2^wp, in fixed point.
+def _fixed_derivatives(steps, X: int, wp: int, noise: bool = False) -> tuple[int, int, int, int, int]:
+    """(P_n, P_n', P_n'', e, e') at x = X 2^-wp, each scaled by 2^wp, in fixed point.
 
     Only the value recurrence runs, keeping P_(n-1); P_n' then follows from
     (Szego, Orthogonal Polynomials, (4.5.7); DLMF section 18.9)
@@ -305,106 +312,124 @@ def _fixed_derivatives(steps, X: int, wp: int) -> tuple[int, int, int]:
 
     times D, so that with alpha = A/D and beta = B/D every coefficient is an
     integer, and with 1 - x^2 exact as 2^(2 wp) - X^2.
+
+    With noise, e bounds the rounding error of P_n and P_(n-1): n 2^(16 - wp)
+    times the largest |P_k| met on the way, a generous bound on the noise of
+    the fixed-point recurrence, plus one; e' is e carried through the
+    identity for P_n', rounded up.  Without it, e = e' = 0, and the loop
+    does not track the largest |P_k|.
     """
     p_prev, p = 0, 1 << wp
+    peak = p
     for a, b, c, den in steps:
         p_prev, p = p, (((a * X + (b << wp)) * p >> wp) - c * p_prev) // den
+        if noise and (p > peak or -p > peak):
+            peak = abs(p)
     A, B, D = _jacobi_params(steps)
     n = len(steps)
     nD = n * D
     t = 2 * nD + A + B
     span = (1 << 2 * wp) - X * X  # (1 - x^2) 2^(2 wp)
-    num = (nD * (((A - B) << wp) - t * X) * p >> wp) + 2 * (nD + A) * (nD + B) * p_prev
-    d = (num << 2 * wp) // (D * t * span)
+    slope, pull = nD * (((A - B) << wp) - t * X), 2 * (nD + A) * (nD + B)
+    d = (((slope * p >> wp) + pull * p_prev) << 2 * wp) // (D * t * span)
     num = ((((A - B) << wp) + (A + B + 2 * D) * X) * d >> wp) - n * (nD + A + B + D) * p
-    return p, d, (num << 2 * wp) // (D * span)
+    e = e_d = 0
+    if noise:
+        e = ((n * peak) >> (wp - 16)) + 1
+        e_d = (((abs(slope) + (pull << wp)) * e + (1 << wp)) << wp) // (D * t * span) + 2
+    return p, d, (num << 2 * wp) // (D * span), e, e_d
 
 
-def _fixed_sign(steps, X: int, wp: int) -> int:
-    """The sign of P_n(X 2^-wp), or 0 when |P_n| does not clear n 2^(16 - wp)
-    times the largest |P_k| met on the way, a generous bound on the rounding
-    noise of the fixed-point recurrence."""
-    p_prev, p = 0, 1 << wp
-    peak = p
-    for a, b, c, den in steps:
-        p_prev, p = p, (((a * X + (b << wp)) * p >> wp) - c * p_prev) // den
-        peak = max(peak, abs(p))
-    if abs(p) <= (len(steps) * peak) >> (wp - 16):
-        return 0
-    return 1 if p > 0 else -1
+def _isolation_radius(steps, X: int, wp: int, p: int, d: int, e: int, e_d: int) -> int:
+    """r 2^wp, rounded up, such that [X - r, X + r] 2^-wp holds exactly one
+    root of P_n, from P_n = p 2^-wp and P_n' = d 2^-wp at x = X 2^-wp, known
+    to within e and e' (`_fixed_derivatives` with noise).  Raises
+    ConvergenceFailure where it cannot prove that.
+
+    With |P| <= (|p| + e) 2^-wp and |P'| within (|d| -+ e') 2^-wp, take
+    r = 2 |P| / |P'|, m = |alpha - beta| + alpha + beta + 2,
+    K = n(n + alpha + beta + 1) and s = 1 - (|x| + r)^2.  On the interval
+    the Jacobi differential equation gives |P''| <= (m |P'| + K |P|) / s,
+    so (m r + K r^2) / s <= 1/2 bounds |P''| there by
+    2 (m |P'(x)| + K |P(x)| + K r |P'(x)|) / s; r times that <= |P'(x)| / 2
+    keeps |P'| >= |P'(x)| / 2 on the interval, so P_n is monotone there and
+    changes sign at its ends.  The second test implies the first, since
+    |P'(x)| >= its lower bound, but the bound on |P''| rests on the first.
+    Every test is an exact integer comparison, with r and the bounds on |P|
+    and |P'| taken outward.
+    """
+    A, B, D = _jacobi_params(steps)
+    n = len(steps)
+    value, low, high = abs(p) + e, abs(d) - e_d, abs(d) + e_d
+    # r is unbounded where |P'| is not bounded away from 0: 1 fails s > 0
+    r = -((-value << (wp + 1)) // low) if low > 0 else 1 << wp
+    s = (1 << 2 * wp) - (abs(X) + r) ** 2  # s 2^(2 wp)
+    m = abs(A - B) + A + B + 2 * D  # m D
+    K = n * (n * D + A + B + D)  # K D
+    bounded = s > 0 and 2 * ((m * r << wp) + K * r * r) <= D * s
+    if not (bounded and 4 * r * (((m * high + K * value) << wp) + K * r * high) <= low * D * s):
+        raise ConvergenceFailure("Jacobi root isolation failed: P_n is not proved monotone around a root")
+    return r
 
 
-def _refine(steps, seed: float, wp: int) -> int:
-    """Halley in fixed point from a float seed; returns the root times 2^wp.
+def _refine(steps, seed: float, wp: int) -> tuple[int, int, int]:
+    """Halley in fixed point from a float seed; returns (X, lo, hi): the root
+    times 2^wp, and an interval [lo, hi] 2^-wp around it that holds exactly
+    one root of P_n.
 
     The step is 2 P_n P_n' / (2 P_n'^2 - P_n P_n''): one recurrence gives
     P_n and P_n', and P_n'' costs a few big-int operations more.  Halley's
-    error falls as e' ~ C e^3, C = (P_n''/2P_n')^2 - P_n'''/(6 P_n'), and
-    the step just taken is e to first order.  So the loop stops as soon as
-    |step|^3 (1 + (P_n''/P_n')^2) < 2^-(wp + 16), read from bit lengths:
-    the error left is then below the fixed point's own resolution, and one
-    more evaluation would only confirm it.  The proxy drops the P_n''' part
-    of C, about n^2 / (6 (1 - x^2)) at a root by the differential equation;
-    the 16-bit margin and the _ROOT_GUARD_BITS below the knot precision
-    absorb it.  A float seed takes 2 evaluations at 256 bits and 3 at 512,
-    where Newton takes 4 and 5.
+    error falls as e' ~ C e^3, C = (P_n''/2P_n')^2 - P_n'''/(6 P_n'), so
+    each step runs at the precision its result needs (a precision ladder,
+    as Johansson & Mezzarobba, arXiv:1802.03948, use for Newton): the first
+    from the float seed at min(wp, 182) bits, and after a step of size
+    2^-k the next at min(wp, 9k + 32) bits, never below the one before.
+    At wp, the step just taken is e to first order, so the loop stops as
+    soon as |step|^3 (1 + (P_n''/P_n')^2) < 2^-(wp + 16), read from bit
+    lengths: the error left is then below the fixed point's own resolution,
+    and one more evaluation would only confirm it.  The proxy drops the
+    P_n''' part of C, about n^2 / (6 (1 - x^2)) at a root by the
+    differential equation; the 16-bit margin and the _ROOT_GUARD_BITS below
+    the knot precision absorb it.  A float seed takes one evaluation below
+    wp and one at wp at 256 bits, and at most three at 512, the last at wp.
+
+    That last evaluation also gives the interval: `_isolation_radius`
+    around the point it was made at, about 2^-149 wide at 256 bits.
     """
     num, den = seed.as_integer_ratio()
-    X = (num << wp) // den
+    w = min(wp, 182)
+    X = (num << w) // den
     for _ in range(_NEWTON_CAP):
         try:
-            p, d, dd = _fixed_derivatives(steps, X, wp)
-            step = (p * d << (wp + 1)) // (2 * d * d - p * dd)
+            p, d, dd, e, e_d = _fixed_derivatives(steps, X, w, w == wp)
+            step = (p * d << (w + 1)) // (2 * d * d - p * dd)
         except ZeroDivisionError:
             raise ConvergenceFailure("a Halley step divided by zero") from None
-        X -= step
         # |step| < 2^s and |P''/P'| < 2^(r+1) give |step|^3 (1 + (P''/P')^2)
         # < 2^(3s + 2 max(r, 0) + 3) <= 2^(2 wp - 16) in units of 2^(-3 wp)
-        if 3 * step.bit_length() + 2 * max(dd.bit_length() - d.bit_length(), 0) < 2 * wp - 18:
-            return X
+        if w == wp and 3 * step.bit_length() + 2 * max(dd.bit_length() - d.bit_length(), 0) < 2 * wp - 18:
+            r = _isolation_radius(steps, X, wp, p, d, e, e_d)
+            return X - step, X - r, X + r
+        X -= step
+        rung = min(wp, max(w, 9 * (w - step.bit_length()) + 32))
+        X, w = X << (rung - w), rung
     raise ConvergenceFailure("Halley iteration exceeded its step cap")
-
-
-def _certify(steps, roots: list[int], wp: int) -> None:
-    """Prove one root of P_n in each cell between -1, the midpoints of
-    consecutive roots, and 1: the signs of P_n there must alternate, ending
-    positive at 1 (P_n(1) > 0 for alpha > -1).  Raises ConvergenceFailure
-    otherwise, never returns a wrong knot set.
-
-    Each cut is first rounded to low = min(wp, 96 + 2 bitlen(n)) bits and
-    its sign read there, under the same noise bound of _fixed_sign.  Only a
-    cut whose rounding leaves the open interval between its two roots, or
-    whose sign is undecided at low, is read again at wp.  Either way the
-    proof is the same: alternating signs at points that separate the roots.
-    """
-    one, n = 1 << wp, len(roots)
-    if not (-one < roots[0] and roots[-1] < one and all(a < b for a, b in zip(roots, roots[1:]))):
-        raise ConvergenceFailure("Jacobi roots are not distinct and inside (-1, 1)")
-    low = min(wp, 96 + 2 * n.bit_length())
-    shift = wp - low
-    cuts = [-one, *((a + b) >> 1 for a, b in zip(roots, roots[1:])), one]
-    fences = [-one - 1, *roots, one + 1]
-    for i, cut in enumerate(cuts):
-        near = (cut + (1 << shift >> 1)) >> shift  # the cut rounded to low bits
-        sign = 0
-        if fences[i] < near << shift < fences[i + 1]:
-            sign = _fixed_sign(steps, near, low)
-        if not sign:
-            sign = _fixed_sign(steps, cut, wp)
-        if sign != (-1) ** (n - i):
-            raise ConvergenceFailure("Jacobi root certificate failed: signs do not alternate")
 
 
 @functools.lru_cache(maxsize=_KNOT_SET_CAP)
 def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: int) -> KnotSet:
-    """The n roots of P_n^(alpha,beta), refined by Halley at precision_bits
-    + _ROOT_GUARD_BITS until the predicted error of the last step is below
-    that fixed point's resolution (2 evaluations per root at 256 bits, 3 at
-    512), and certified by sign alternation, read at low precision first.
+    """The n roots of P_n^(alpha,beta), refined by Halley on a precision
+    ladder up to precision_bits + _ROOT_GUARD_BITS until the predicted error
+    of the last step is below that fixed point's resolution (one evaluation
+    below it and one at it per root at 256 bits, at most three at 512).
 
-    The certificate runs on the solver's integers, which are then rounded
-    straight to the knot precision; an odd set with alpha = beta keeps its
-    exact middle root 0.
+    Each root comes with an interval of radius r_i, proved from its last
+    evaluation to hold exactly one root of P_n.  The intervals must be
+    disjoint, lie inside (-1, 1) and hold their knots, or the set raises
+    ConvergenceFailure: each knot then lies within 2 r_i of a distinct root,
+    about 2^-149 at 256 bits, before it is rounded straight to the knot
+    precision.  An odd set with alpha = beta keeps its exact middle root 0,
+    isolated by parity alone.
 
     A pure function of its arguments returning an immutable value, so threads
     share the cache; a race on a cold set only repeats deterministic work.
@@ -422,10 +447,16 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
         raise ConvergenceFailure("Jacobi parameters overflow the float seed stage") from None
     roots = [_refine(steps, seed, wp) for seed in seeds]
     if symmetric:
-        # P_n has the parity of n: mirror the positive half, around 0 for odd n.
-        roots = [-r for r in reversed(roots)] + [0] * (n % 2) + roots
-    _certify(steps, roots, wp)
-    points = tuple(ApFloat._wrap(from_man_exp(r, -wp, precision_bits, _RND), precision_bits) for r in roots)
+        # P_n has the parity of n: mirror the positive half, around the exact
+        # root 0 for odd n, which the degenerate interval [0, 0] isolates.
+        roots = [(-x, -hi, -lo) for x, lo, hi in reversed(roots)] + [(0, 0, 0)] * (n % 2) + roots
+    # n disjoint intervals in (-1, 1), each holding one root of P_n, hold all
+    # n of them; each knot must lie in its own interval
+    one = 1 << wp
+    ends = [-one, *(end for _, lo, hi in roots for end in (lo, hi)), one]
+    if not (all(a < b for a, b in zip(ends[::2], ends[1::2])) and all(lo <= x <= hi for x, lo, hi in roots)):
+        raise ConvergenceFailure("Jacobi root intervals overlap, leave (-1, 1) or miss their knot")
+    points = tuple(ApFloat._wrap(from_man_exp(x, -wp, precision_bits, _RND), precision_bits) for x, _, _ in roots)
     return KnotSet(
         family="gauss_jacobi",
         n=n,

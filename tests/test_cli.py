@@ -158,7 +158,7 @@ class TestNumericFailure:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_failed_certificate_exits_three(self, capsys, monkeypatch):
+    def test_refused_knot_set_exits_three(self, capsys, monkeypatch):
         knots_mod.gauss_jacobi_knots.cache_clear()
         seeds = knots_mod._seed_roots
         monkeypatch.setattr(
@@ -172,7 +172,7 @@ class TestNumericFailure:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_high_degree_extreme_parameters_pass_the_certificate(self, capsys):
+    def test_high_degree_extreme_parameters_are_proved(self, capsys):
         code, out, _ = run(
             capsys,
             "knots", "--family", "gauss_jacobi", "--n", "200", "--alpha", "50",

@@ -1,6 +1,6 @@
 """Knot generators: closed-form values, interlacing, symmetry, the
 finite-difference oracle for the Jacobi recurrence, and the Gauss-Jacobi
-certificate and cache."""
+root-isolation proof and cache."""
 import hashlib
 import random
 import sys
@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
+import fejerlab.cli as cli
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, _man_exp
 from fejerlab.hermite import hermite_fejer_basis
@@ -242,9 +243,9 @@ class TestGaussJacobi:
         with pytest.raises(ConvergenceFailure, match="overflow"):
             gauss_jacobi_knots(5, alpha, beta, BITS)
 
-    def test_duplicate_seed_fails_the_certificate(self, monkeypatch):
-        # two seeds on one root refine to one knot twice: the set must be
-        # refused, never returned with a root missing
+    def test_duplicate_seed_fails_the_isolation_proof(self, monkeypatch):
+        # two seeds on one root refine to one knot twice, in one interval:
+        # the set must be refused, never returned with a root missing
         knots_mod.gauss_jacobi_knots.cache_clear()
         seeds = knots_mod._seed_roots
 
@@ -253,46 +254,79 @@ class TestGaussJacobi:
             return [roots[0], *roots[:-1]]
 
         monkeypatch.setattr(knots_mod, "_seed_roots", duplicated)
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match="overlap"):
             gauss_jacobi_knots(8, F(1, 7), F(2, 7), BITS)
 
-    def test_root_moved_into_its_neighbours_cell_fails_the_certificate(self):
-        # knot 1 moved past the midpoint towards knot 2, the order kept: the
-        # cell from -1 to the new first midpoint then holds two roots of P_n
-        n, wp = 24, BITS + knots_mod._ROOT_GUARD_BITS
-        steps = knots_mod._integer_steps(F(1, 3), F(1, 5), n)
-        roots = [knots_mod._refine(steps, seed, wp) for seed in knots_mod._seed_roots(steps, False)]
-        knots_mod._certify(steps, roots, wp)
-        moved = roots[2] - (roots[2] - roots[1]) // 8
-        assert (roots[0] + moved) >> 1 > roots[1]
-        with pytest.raises(ConvergenceFailure, match="signs do not alternate"):
-            knots_mod._certify(steps, [roots[0], moved, *roots[2:]], wp)
-
-    def test_undecided_low_precision_cut_is_read_again_at_wp(self, monkeypatch):
-        # every low-precision sign forced to 0: each cut falls back to one
-        # read at wp, and the set is the one the low reads certified
-        n, alpha, beta = 24, F(1, 3), F(1, 5)
-        wp, low = BITS + knots_mod._ROOT_GUARD_BITS, 96 + 2 * n.bit_length()
+    def test_seed_moved_into_its_neighbours_cell_fails_the_isolation_proof(self, monkeypatch):
+        # seed 1 moved 7/8 of the way to seed 2, the order kept: it refines
+        # to root 2, whose interval then holds two knots
         knots_mod.gauss_jacobi_knots.cache_clear()
-        expected = gauss_jacobi_knots(n, alpha, beta, BITS).points
+        seeds = knots_mod._seed_roots
+
+        def moved(steps, symmetric):
+            roots = seeds(steps, symmetric)
+            return [roots[0], roots[2] - (roots[2] - roots[1]) / 8, *roots[2:]]
+
+        monkeypatch.setattr(knots_mod, "_seed_roots", moved)
+        with pytest.raises(ConvergenceFailure, match="overlap"):
+            gauss_jacobi_knots(24, F(1, 3), F(1, 5), BITS)
+
+    def test_knot_moved_by_2_to_the_minus_100_is_refused(self, monkeypatch):
+        # signs alternating over cells between midpoints would accept root 5
+        # of this set moved by 2^-100; its proved interval is about 2^-149
+        # wide, so the moved knot falls outside it
         knots_mod.gauss_jacobi_knots.cache_clear()
-        sign, reads = knots_mod._fixed_sign, []
+        refine, calls = knots_mod._refine, []
 
-        def undecided_below_wp(steps, X, at):
-            reads.append(at)
-            return sign(steps, X, at) if at == wp else 0
+        def moving(steps, seed, wp):
+            x, lo, hi = refine(steps, seed, wp)
+            calls.append(wp)
+            return (x + (1 << (wp - 100)), lo, hi) if len(calls) == 5 else (x, lo, hi)
 
-        monkeypatch.setattr(knots_mod, "_fixed_sign", undecided_below_wp)
-        assert gauss_jacobi_knots(n, alpha, beta, BITS).points == expected
-        assert reads == [low, wp] * (n + 1)
+        monkeypatch.setattr(knots_mod, "_refine", moving)
+        with pytest.raises(ConvergenceFailure, match="miss their knot"):
+            gauss_jacobi_knots(24, F(1, 3), F(1, 5), BITS)
+
+    @pytest.mark.parametrize("widen", ["interval", "curvature", "slope", "zero_slope"])
+    def test_failed_isolation_test_refuses_the_set(self, monkeypatch, capsys, widen):
+        # the noise bounds of root 5's last evaluation widened until one test
+        # fails: r near 2 leaves (-1, 1); r near 1/8 leaves |P''| unbounded;
+        # |P'| known only to within 2^-40 of itself does not keep P_n
+        # monotone; a |P'| bound of 0 bounds nothing.  The set raises, and
+        # the command exits 3.
+        derivatives, full = knots_mod._fixed_derivatives, []
+
+        def widened(steps, X, wp, noise=False):
+            p, d, dd, e, e_d = derivatives(steps, X, wp, noise)
+            if noise:
+                full.append(X)
+                if len(full) == 5:
+                    e, e_d = {
+                        "interval": (abs(d), e_d),
+                        "curvature": (abs(d) >> 4, e_d),
+                        "slope": (abs(d) >> 60, abs(d) - (abs(d) >> 40)),
+                        "zero_slope": (e, abs(d)),
+                    }[widen]
+            return p, d, dd, e, e_d
+
+        monkeypatch.setattr(knots_mod, "_fixed_derivatives", widened)
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        with pytest.raises(ConvergenceFailure, match="isolation failed"):
+            gauss_jacobi_knots(24, F(1, 3), F(1, 5), BITS)
+        knots_mod.gauss_jacobi_knots.cache_clear()
+        full.clear()
+        argv = ["knots", "--family", "gauss_jacobi", "--n", "24", "--alpha", "1/3", "--beta", "1/5"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "isolation failed" in captured.err
 
     @pytest.mark.parametrize(
         "alpha, beta", [(F(0), F(0)), (F(-99, 100), F(7)), (F(9), F(-99, 100)), (F(1, 3), F(1, 5))]
     )
     def test_bracket_signs_alternate(self, alpha, beta):
-        # the certificate's brackets, checked again with jacobi_eval: P_n has
-        # the sign (-1)^(n-i) at cut i of -1, the midpoints of consecutive
-        # knots and 1
+        # one root of P_n between consecutive cuts, read with jacobi_eval on
+        # the rounded knots: P_n has the sign (-1)^(n-i) at cut i of -1, the
+        # midpoints of consecutive knots and 1
         for n in range(1, 21):
             points = gauss_jacobi_knots(n, alpha, beta, BITS).points
             cuts = [ApFloat(-1, BITS), *((a + b) / 2 for a, b in zip(points, points[1:])), ApFloat(1, BITS)]
@@ -400,7 +434,7 @@ class TestHalleyRefinement:
             steps = knots_mod._integer_steps(alpha, beta, n)
             for x in NEAR_EDGES:
                 X = self._fixed_point(x)
-                p, d, _ = knots_mod._fixed_derivatives(steps, X, wp)
+                p, d, *_ = knots_mod._fixed_derivatives(steps, X, wp)
                 value, deriv = jacobi_eval(n, alpha, beta, ApFloat._wrap(from_man_exp(X, -wp), wp))
                 for fixed, libmp in ((p, value), (d, deriv)):
                     ref = libmp.to_fraction() * 2 ** wp
@@ -419,36 +453,72 @@ class TestHalleyRefinement:
                 # the oracle obeys the Jacobi equation exactly
                 slope = beta - alpha - (alpha + beta + 2) * xq
                 assert (1 - xq * xq) * s + slope * d + n * (n + alpha + beta + 1) * v == 0
-                _, _, second = knots_mod._fixed_derivatives(steps, X, wp)
+                _, _, second, *_ = knots_mod._fixed_derivatives(steps, X, wp)
                 ref = s * 2 ** wp
                 # 1 - x^2 near 2^-19 divides twice on the way to P_n''
                 assert abs(second - ref) * 2 ** wp <= 2 ** 48 * max(2 ** wp, abs(ref)), (n, x)
 
-    @pytest.mark.parametrize("bits, per_root", [(256, 2), (512, 3)])
-    def test_cold_set_evaluations(self, monkeypatch, bits, per_root):
-        # Halley from the asymptotic seeds, stopped on the predicted error of
-        # the step just taken; Newton took about 4 and 5 per root.  The
-        # certificate reads every cut at its low precision, none at wp.
+    @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
+    def test_noise_bounds_cover_the_fixed_point_error(self, alpha, beta):
+        # e and e' against the exact rational P_n and P_n', near the edges too
+        wp = self.WP
+        for n in (1, 2, 3, 7, 20, 40):
+            steps = knots_mod._integer_steps(alpha, beta, n)
+            for x in NEAR_EDGES:
+                X = self._fixed_point(x)
+                p, d, _, e, e_d = knots_mod._fixed_derivatives(steps, X, wp, True)
+                value, deriv, _ = _exact_jacobi_derivatives(alpha, beta, n, F(X, 2 ** wp))
+                assert abs(p - value * 2 ** wp) <= e and abs(d - deriv * 2 ** wp) <= e_d, (n, x)
+                assert knots_mod._fixed_derivatives(steps, X, wp)[3:] == (0, 0)
+
+    @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
+    def test_isolating_intervals_change_sign_exactly(self, alpha, beta):
+        # every interval the solver proves, read with the exact rational P_n:
+        # opposite signs at its two ends, the knot inside, and at 256 bits a
+        # radius far below 2^-100
+        wp = BITS + knots_mod._ROOT_GUARD_BITS
+        for n in (1, 2, 3, 8, 13, 24):
+            steps = knots_mod._integer_steps(alpha, beta, n)
+            for seed in knots_mod._seed_roots(steps, alpha == beta):
+                x, lo, hi = knots_mod._refine(steps, seed, wp)
+                below, above = (_exact_jacobi_derivatives(alpha, beta, n, F(end, 2 ** wp))[0] for end in (lo, hi))
+                assert below * above < 0 and lo <= x <= hi, (n, seed)
+                assert hi - lo < 1 << (wp - 100), (n, seed)
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_cold_set_evaluations(self, monkeypatch, bits):
+        # Halley from the asymptotic seeds on a precision ladder, stopped on
+        # the predicted error of the step just taken: at 256 bits one
+        # evaluation below wp and one at wp per root, at 512 at most three,
+        # the first below wp and the last at it.  The proof reads that last
+        # evaluation: nothing is evaluated once the roots are found.
         knots_mod.gauss_jacobi_knots.cache_clear()
-        calls, full = [], []
-        derivatives, sign = knots_mod._fixed_derivatives, knots_mod._fixed_sign
+        derivatives, refine = knots_mod._fixed_derivatives, knots_mod._refine
         wp = bits + knots_mod._ROOT_GUARD_BITS
+        per_root, outside = [], []
+        refining = False
 
-        def counting(*args):
-            calls.append(1)
-            return derivatives(*args)
+        def counting(steps, X, at, noise=False):
+            (per_root[-1] if refining else outside).append(at)
+            return derivatives(steps, X, at, noise)
 
-        def counting_sign(steps, X, at):
-            if at == wp:
-                full.append(X)
-            return sign(steps, X, at)
+        def tracked(*args):
+            nonlocal refining
+            per_root.append([])
+            refining = True
+            try:
+                return refine(*args)
+            finally:
+                refining = False
 
         monkeypatch.setattr(knots_mod, "_fixed_derivatives", counting)
-        monkeypatch.setattr(knots_mod, "_fixed_sign", counting_sign)
+        monkeypatch.setattr(knots_mod, "_refine", tracked)
         n = 24
         gauss_jacobi_knots(n, F(1, 3), F(1, 5), bits)
-        assert n <= len(calls) <= per_root * n
-        assert full == []
+        assert len(per_root) == n and outside == []
+        for ladder in per_root:
+            assert ladder[0] < wp and ladder[-1] == wp, ladder
+            assert (len(ladder) == 2) if bits == 256 else (len(ladder) <= 3), ladder
 
     def test_halley_cap_failure(self, monkeypatch):
         # good float seeds, then one Halley step allowed where 256 bits need
