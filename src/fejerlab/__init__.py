@@ -16,12 +16,10 @@ from .conjecture import (
 )
 from .hermite import (
     FundamentalBasis,
-    LengthMismatch,
     chebyshev_closed_form,
     derivative_extremes,
     derivative_sum,
     hermite_fejer_basis,
-    interpolate,
     scaled_tolerance,
 )
 from .identities import (
@@ -64,7 +62,6 @@ __all__ = [
     "InsufficientTrainingPoints",
     "KnotSet",
     "KnotSpacingError",
-    "LengthMismatch",
     "NotOdd",
     "NumPoly",
     "RatPoly",
@@ -81,7 +78,6 @@ __all__ = [
     "format_rational",
     "gauss_jacobi_knots",
     "hermite_fejer_basis",
-    "interpolate",
     "inverse_power_sum",
     "make_knots",
     "midpoint_second_derivative",

@@ -136,7 +136,7 @@ def _cmd_verify_eq1(args) -> Records:
     params = _knot_params(args)
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
-        sums = [derivative_extremes(basis, range(1, args.p_max + 1), y0) for y0 in y0_points]
+        sums = [derivative_extremes(basis, args.p_max, y0) for y0 in y0_points]
         for p, row in enumerate(zip(*sums), 1):
             for y0, (residual, largest) in zip(y0_list, row):
                 tolerance = scaled_tolerance([largest], args.precision_bits)

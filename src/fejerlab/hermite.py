@@ -18,8 +18,8 @@ Evaluating Derivatives, ch. 13), with l_i(y0 + t) = w_i prod_{j!=i}
 (y0 - x_j + t) built from running prefix and suffix products, so nothing
 divides by y0 - x_i.  There are two readouts of the jet, each applying p!
 exactly: derivative_sum rounds every term h_i^(p)(y0) of one order, and
-derivative_extremes reads every requested order from one jet, so
-verify-eq1, which checks p = 1..p_max at one y0, builds one jet per (n, y0).
+derivative_extremes reads the orders 1..p_max from one jet, so verify-eq1,
+which checks p = 1..p_max at one y0, builds one jet per (n, y0).
 The dense coefficients of the h_i, which the tests compare, come from the
 same engine: the jet at 0 truncated at 2n-1 holds every [x^p] h_i.  On
 Chebyshev knots chebyshev_closed_form(n, bits) is the independent
@@ -93,11 +93,7 @@ from mpmath.libmp import fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_shi
 
 from .apnum import _RND, ApFloat, NumPoly, _check_precision, _man_exp, _renorm, max_abs
 from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
-from .ratpoly import chebyshev_T
-
-
-class LengthMismatch(ValueError):
-    """The number of sample values does not match the number of knots."""
+from .ratpoly import _chebyshev_walk
 
 
 #: Bits an integer block carries beyond the working precision.  The prefix
@@ -280,6 +276,7 @@ def chebyshev_closed_form(n: int, precision_bits: int) -> tuple[NumPoly, ...]:
     knots chebyshev1_knots(n, precision_bits), at the working precision of a
     basis on them: a construction independent of the jet, run on integers.
 
+    The integer coefficients c_k of T_n come from its coefficient walk.
     With x_i = X_i 2^-L, P(u) = 2^(Ln) T_n(u 2^-L) has integer coefficients
     c_k 2^(L(n-k)), and its quotient by (u - X_i), found exactly by
     synthetic division from the top, holds Q_k = q_k 2^(L(n-1-k)) for the
@@ -294,7 +291,8 @@ def chebyshev_closed_form(n: int, precision_bits: int) -> tuple[NumPoly, ...]:
     wp = _guarded_precision(knots)
     bits = wp + _BLOCK_GUARD_BITS
     xs, L = knots.ints, knots.scale
-    c = [int(a) for a in chebyshev_T(n).coeffs]
+    c = [0] * (n + 1)
+    c[n % 2 :: 2] = _chebyshev_walk(n, n)
     n2 = from_int(n * n)
     hs = []
     for X in xs:
@@ -322,47 +320,22 @@ def _one_exponent(pairs) -> tuple[list[int], int]:
     return [v << (e - low) for v, e in pairs if v], low
 
 
-def _round_sum(pairs, precision_bits: int):
-    """sum_k V_k 2^(e_k), formed exactly on the least exponent and rounded
-    once to precision_bits, as a raw mpf."""
-    ints, low = _one_exponent(pairs)
-    return from_man_exp(sum(ints), low, precision_bits, _RND)
+def derivative_extremes(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> list[tuple[ApFloat, ApFloat]]:
+    """(residual, largest) for each p = 1..p_max, from one Taylor jet at y0
+    truncated at p_max: derivative_sum's residual, and max_i |h_i^(p)(y0)|,
+    each rounded once to the knot precision, with no term rounded on its own.
 
-
-def interpolate(basis: FundamentalBasis, values: Sequence[ApFloat], x: ApFloat) -> ApFloat:
-    """Evaluate sum_i h_i(x) * values_i (the interpolation operator at x): the
-    exact sum of the row at p = 0 times the values, rounded once."""
-    if len(values) != basis.n:
-        raise LengthMismatch(f"{len(values)} values for {basis.n} knots")
-    (row,) = _rows(basis, _jet(basis, 0, x), (0,))
-    products = []
-    for (m, e), v in zip(row, values):
-        mv, ev = _man_exp(v.raw)
-        products.append((m * mv, e + ev))
-    prec = basis.precision_bits
-    return ApFloat._wrap(_round_sum(products, prec), prec)
-
-
-def derivative_extremes(
-    basis: FundamentalBasis, orders: Sequence[int], y0: ApFloat
-) -> list[tuple[ApFloat, ApFloat]]:
-    """(residual, largest) for each p in orders, ascending integers >= 1,
-    from one Taylor jet at y0 truncated at max(orders): derivative_sum's
-    residual, and max_i |h_i^(p)(y0)|, each rounded once to the knot
-    precision, with no term rounded on its own.
-
-    Each row has the same bits whichever other orders share its jet.  The
-    maximum is taken exactly, on the row's integers on one exponent.
-    Rounding to nearest is monotone and odd, so largest has the bits of
-    max_abs of derivative_sum's terms; a zero row (p > 2n-1) gives 0.
+    Row p has the same bits for every p_max >= p, and the bits of
+    derivative_sum at p.  The maximum is taken exactly, on the row's
+    integers on one exponent.  Rounding to nearest is monotone and odd, so
+    largest has the bits of max_abs of derivative_sum's terms; a zero row
+    (p > 2n-1) gives 0.
     """
-    orders = list(orders)
-    if not orders or orders[0] < 1 or orders != sorted(orders):
-        # out of order, a row could lie above the jet's truncation order
-        raise ValueError(f"derivative orders must be ascending and >= 1, got {orders}")
+    if p_max < 1:
+        raise ValueError(f"derivative order must be >= 1, got p_max = {p_max}")
     prec = basis.precision_bits
     out = []
-    for p, row in zip(orders, _rows(basis, _jet(basis, orders[-1], y0), orders)):
+    for p, row in enumerate(_rows(basis, _jet(basis, p_max, y0), range(1, p_max + 1)), 1):
         ints, low = _one_exponent(row)
         fact = math.factorial(p)
         top = max(max(ints), -min(ints)) if ints else 0
@@ -391,7 +364,8 @@ def derivative_sum(
     row = [(v * fact, e) for v, e in row]
     prec = basis.precision_bits
     terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
-    return ApFloat._wrap(_round_sum(row, prec), prec), terms
+    ints, low = _one_exponent(row)
+    return ApFloat._wrap(from_man_exp(sum(ints), low, prec, _RND), prec), terms
 
 
 def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:

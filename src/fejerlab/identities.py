@@ -21,14 +21,13 @@ coefficients of T_n come from a walk that runs bottom-up from the ratio of its
 differential equation and stops at c_(2m+1): Newton's identities read only
 e_1..e_m of the reversed W, which come from c_1, c_3, ..., c_(2m+1), so PS(m, n)
 costs O(m^2) integer steps whatever n is.  Newton's identities run in
-integers, and h_mid''(0) is read off c_1 and c_3.  The full W is built only
-when a report's witness is read, from the same walk run on to c_n.
+integers, and h_mid''(0) is read off c_1 and c_3.  Only sin2_charpoly builds
+the full W, from the same walk run on to c_n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .ratpoly import RatPoly, NotOdd, _chebyshev_walk, _integer_power_sums
 from .ratpoly import chebyshev_T, newton_power_sums  # noqa: F401  (bench/tracing.py times both here)
@@ -42,11 +41,6 @@ class IdentityReport:
     lhs: Fraction
     rhs: Fraction
     holds: bool
-
-    @cached_property
-    def witness(self) -> RatPoly:
-        """The full W = sin2_charpoly(n), built on first read."""
-        return sin2_charpoly(self.n)
 
 
 def _check_odd(n: int) -> int:
@@ -89,7 +83,6 @@ def inverse_power_sum(n: int, m: int) -> Fraction:
 
 def verify_cosecant_sum(n: int) -> IdentityReport:
     """Check 2 * PS(1, n) = (n^2 - 1)/3 by exact rational comparison."""
-    _check_odd(n)
     lhs = 2 * inverse_power_sum(n, 1)
     rhs = Fraction(n * n - 1, 3)
     return IdentityReport(n=n, lhs=lhs, rhs=rhs, holds=lhs == rhs)
@@ -116,7 +109,6 @@ def second_derivative_balance(n: int) -> tuple[Fraction, Fraction]:
     4 * PS(1, n).  The middle knot contributes h_mid''(0).  The two parts sum
     to exactly 0, which is precisely what forces (E2).
     """
-    _check_odd(n)
     offcenter = 4 * inverse_power_sum(n, 1)
     midpoint = midpoint_second_derivative(n)
     return offcenter, midpoint

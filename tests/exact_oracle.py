@@ -139,7 +139,7 @@ def grid_errors(bits: int, ns=GRID_N, families=FAMILIES):
                 y0 = basis.knots.points[n // 3] if y is None else ApFloat(y, bits)
                 rows = _rows(basis, _jet(basis, P_MAX, y0), orders)
                 exact.append(exact_rows(basis.knots.points, y0, P_MAX))
-                for p, row, (residual, _) in zip(orders, rows, derivative_extremes(basis, orders, y0)):
+                for p, row, (residual, _) in zip(orders, rows, derivative_extremes(basis, P_MAX, y0)):
                     # _rows holds [t^p] h_i(y0 + t); the term is p! times it
                     row = [(v * math.factorial(p), e) for v, e in row]
                     errors = term_errors(row, exact[-1][p])

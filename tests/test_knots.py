@@ -472,6 +472,39 @@ class TestHalleyRefinement:
                 assert knots_mod._fixed_derivatives(steps, X, wp)[3:] == (0, 0)
 
     @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
+    def test_derivative_noise_covers_both_values_moved_by_e(self, alpha, beta):
+        # e' must cover the (4.5.7) P_n' when P_n and P_(n-1) each move by
+        # +-e, whatever the recurrence's own noise: exact, from the textbook
+        # recurrence, at x = X 2^-wp
+        wp = self.WP
+        for n in (2, 3, 7, 20, 40):
+            steps = knots_mod._integer_steps(alpha, beta, n)
+            t = 2 * n + alpha + beta
+            for x in NEAR_EDGES:
+                X = self._fixed_point(x)
+                xq = F(X, 2 ** wp)
+                *_, e, e_d = knots_mod._fixed_derivatives(steps, X, wp, True)
+                values = [F(1), F(0)]  # P_j, P_(j-1)
+                for j in range(1, n + 1):
+                    a, b, c = _textbook_step(alpha, beta, j)
+                    values = [(a * xq + b) * values[0] - c * values[1], values[0]]
+
+                def derivative(p, p_prev):
+                    return (n * (alpha - beta - t * xq) * p + 2 * (n + alpha) * (n + beta) * p_prev) / (
+                        t * (1 - xq * xq)
+                    )
+
+                exact = derivative(*values)
+                assert exact == _exact_jacobi_derivatives(alpha, beta, n, xq)[1], (n, x)
+                moved = F(e, 2 ** wp)
+                change = max(
+                    abs(derivative(values[0] + s * moved, values[1] + s_prev * moved) - exact)
+                    for s in (-1, 1)
+                    for s_prev in (-1, 1)
+                )
+                assert change * 2 ** wp <= e_d, (n, x)
+
+    @pytest.mark.parametrize("alpha, beta", IDENTITY_PAIRS)
     def test_isolating_intervals_change_sign_exactly(self, alpha, beta):
         # every interval the solver proves, read with the exact rational P_n:
         # opposite signs at its two ends, the knot inside, and at 256 bits a
