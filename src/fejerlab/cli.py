@@ -21,6 +21,9 @@ errors go to stderr as one "error: ..." line, and a closed pipe prints
 nothing.
 The precision is --precision-bits when given; otherwise the
 FEJERLAB_PRECISION_BITS environment variable, read only then, or 256 bits.
+A request is parsed once, by its subcommand's parser; the top-level parser
+serves only a bare `fejerlab`, -h and an unknown subcommand.  Output, errors
+and exit status are the same as from the top-level parser's whole pass.
 """
 from __future__ import annotations
 
@@ -291,7 +294,30 @@ def build_parser(default_precision: int | None) -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--precision-bits", type=int, default=default_precision)
         p.add_argument("--output", choices=("json", "text"), default="json")
+    # each subcommand's parser by name, which _parse reads to skip the
+    # top-level pass
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv (sys.argv[1:] for None) parsed once: by its subcommand's parser
+    when argv[0] names one, else by the top-level parser, which then only
+    prints fejerlab's usage, its --help or an unknown subcommand's error.
+    Either way the namespace, the output and the SystemExit are the ones
+    the top-level parser gives: its subcommand action runs parse_known_args
+    on the subcommand's parser too, and reports what is left over itself."""
+    parser = build_parser(None)
+    if argv is None:
+        argv = sys.argv[1:]
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
@@ -310,7 +336,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     try:
         try:
-            args = build_parser(None).parse_args(argv)
+            args = _parse(argv)
         except SystemExit as exc:
             # argparse already printed its diagnostic; keep 0 for --help.
             return 0 if not exc.code else 2

@@ -12,13 +12,14 @@ integer recurrence, refines each seed on a precision ladder (as Johansson &
 Mezzarobba, arXiv:1802.03948, do for Newton): each step runs at the
 precision its result needs, and only the last at the knot precision plus
 _ROOT_GUARD_BITS.  It stops on the error that the cubic recursion predicts
-after the step just taken, so a root takes one evaluation below that
-precision and one at it at 256 bits, and at most three at 512.  An
-evaluation, _fixed_derivatives, runs the recurrence for P_n only: P_n'
-follows from P_n and P_(n-1) by a classical identity, and P_n'' from the
-Jacobi differential equation.  Under parity, alpha = beta, only the positive
-half is solved and then mirrored, so an odd set carries the exact root 0 in
-the middle.
+after the step just taken, and the rung below that precision is picked to
+bring the error there within the stop rule, so nearly every root is
+evaluated at that precision once, after one evaluation below it at 256 bits
+and two at 512.  An evaluation, _fixed_derivatives, runs the recurrence for
+P_n only: P_n' follows from P_n and P_(n-1) by a classical identity, and
+P_n'' from the Jacobi differential equation.  Under parity, alpha = beta,
+only the positive half is solved and then mirrored, so an odd set carries
+the exact root 0 in the middle.
 Robustness comes from a proof, not from the path to the roots.  The last
 evaluation of each root also proves, from the P_n and P_n' it holds and a
 bound on P_n'' from the differential equation, that an interval of radius
@@ -381,17 +382,25 @@ def _refine(steps, seed: float, wp: int) -> tuple[int, int, int]:
     P_n and P_n', and P_n'' costs a few big-int operations more.  Halley's
     error falls as e' ~ C e^3, C = (P_n''/2P_n')^2 - P_n'''/(6 P_n'), so
     each step runs at the precision its result needs (a precision ladder,
-    as Johansson & Mezzarobba, arXiv:1802.03948, use for Newton): the first
-    from the float seed at min(wp, 182) bits, and after a step of size
-    2^-k the next at min(wp, 9k + 32) bits, never below the one before.
+    as Johansson & Mezzarobba, arXiv:1802.03948, use for Newton).
     At wp, the step just taken is e to first order, so the loop stops as
     soon as |step|^3 (1 + (P_n''/P_n')^2) < 2^-(wp + 16), read from bit
     lengths: the error left is then below the fixed point's own resolution,
     and one more evaluation would only confirm it.  The proxy drops the
     P_n''' part of C, about n^2 / (6 (1 - x^2)) at a root by the
     differential equation; the 16-bit margin and the _ROOT_GUARD_BITS below
-    the knot precision absorb it.  A float seed takes one evaluation below
-    wp and one at wp at 256 bits, and at most three at 512, the last at wp.
+    the knot precision absorb it.
+
+    The rungs are picked for that stop rule.  The first step runs from the
+    float seed at min(wp, 182) bits.  After a step of size 2^-k at w bits,
+    with |P_n''/P_n'| about 2^c, which puts C's first term near 2^(2c), X
+    holds about g = min(3k - 2c, w - 16) good bits, and the stop rule at wp
+    holds once X enters it with (wp + 18 + 2c) / 3.  With 8 more than that,
+    the next step runs at wp; otherwise at min(3g, (wp + 18 + 2c) / 3 + 8)
+    + 32 bits, never below the one before and never above wp.  So nearly every
+    root is evaluated at wp once, by the step that stops, after one
+    evaluation below wp at 256 bits (two for a few roots of a large set),
+    two at 512, and two or three at 1024.
 
     That last evaluation also gives the interval: `_isolation_radius`
     around the point it was made at, about 2^-149 wide at 256 bits.
@@ -405,13 +414,18 @@ def _refine(steps, seed: float, wp: int) -> tuple[int, int, int]:
             step = (p * d << (w + 1)) // (2 * d * d - p * dd)
         except ZeroDivisionError:
             raise ConvergenceFailure("a Halley step divided by zero") from None
-        # |step| < 2^s and |P''/P'| < 2^(r+1) give |step|^3 (1 + (P''/P')^2)
-        # < 2^(3s + 2 max(r, 0) + 3) <= 2^(2 wp - 16) in units of 2^(-3 wp)
-        if w == wp and 3 * step.bit_length() + 2 * max(dd.bit_length() - d.bit_length(), 0) < 2 * wp - 18:
+        # |step| < 2^s and |P''/P'| < 2^(c+1) give |step|^3 (1 + (P''/P')^2)
+        # < 2^(3s + 2c + 3) <= 2^(2 wp - 16) in units of 2^(-3 wp)
+        c = max(dd.bit_length() - d.bit_length(), 0)
+        if w == wp and 3 * step.bit_length() + 2 * c < 2 * wp - 18:
             r = _isolation_radius(steps, X, wp, p, d, e, e_d)
             return X - step, X - r, X + r
         X -= step
-        rung = min(wp, max(w, 9 * (w - step.bit_length()) + 32))
+        # after a step of 2^-k, X holds about 3k - 2c good bits, and at most
+        # w - 16; the stop rule at wp needs (wp + 18 + 2c) / 3 of them
+        good = min(3 * (w - step.bit_length()) - 2 * c, w - 16)
+        need = (wp + 18 + 2 * c) // 3 + 8
+        rung = wp if good >= need else min(wp, max(w, min(3 * good, need) + 32))
         X, w = X << (rung - w), rung
     raise ConvergenceFailure("Halley iteration exceeded its step cap")
 
@@ -421,7 +435,7 @@ def gauss_jacobi_knots(n: int, alpha: Fraction, beta: Fraction, precision_bits: 
     """The n roots of P_n^(alpha,beta), refined by Halley on a precision
     ladder up to precision_bits + _ROOT_GUARD_BITS until the predicted error
     of the last step is below that fixed point's resolution (one evaluation
-    below it and one at it per root at 256 bits, at most three at 512).
+    at it per root, after one below it at 256 bits and two at 512).
 
     Each root comes with an interval of radius r_i, proved from its last
     evaluation to hold exactly one root of P_n.  The intervals must be

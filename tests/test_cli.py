@@ -736,3 +736,81 @@ def test_golden_fields_other_than_residual_are_unchanged(name):
         del record["residual"]
         digest.update((json.dumps(record) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_WITHOUT_RESIDUALS[name]
+
+
+#: Argvs that end in the parser: every --help, the empty argv, an unknown
+#: subcommand, an option before the subcommand, an unknown option, stray
+#: positionals, a bad value, and missing values and required options.
+PARSER_EXITS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nosuch"],
+    ["--precision-bits", "64", "knots"],
+    *([name, "--help"] for name in PARSER_OPTIONS),
+    ["verify-identity", "--h"],
+    ["power-sum", "--bogus"],
+    ["knots", "--family", "chebyshev1", "--n", "3", "extra"],
+    ["verify-identity", "--n", "3", "--", "x"],
+    ["knots", "--family", "chebyshev1", "--n", "3", "-hx"],
+    ["verify-identity", "--n", "x"],
+    ["power-sum", "--n"],
+    ["knots", "--n", "3"],
+    ["knots"],
+]
+
+#: Argvs that parse, each with a namespace to compare: the golden ones, an
+#: abbreviated option, and both spellings of a value.
+PARSED = [argv.split() for _, argv in GOLDEN_COMMANDS] + [
+    ["power-sum", "--prec", "64", "--n", "3"],
+    ["power-sum", "--m", "2", "--n", "5"],
+    ["power-sum", "--m=2", "--n=5"],
+    ["verify-eq1", "--n=3", "--y0=-1/2", "--y0", "1/3", "--p-max", "2", "--precision-bits=64"],
+]
+
+
+def _full_parse(argv):
+    """The top-level parser's whole pass, which picks the subcommand and
+    then runs the subcommand's parser on the rest."""
+    return cli.build_parser(None).parse_args(argv)
+
+
+class TestOneParse:
+    """main parses a request once, with its subcommand's own parser; the
+    namespace, stdout, stderr and exit status must be the top-level pass's."""
+
+    @pytest.fixture(autouse=True)
+    def pinned(self, monkeypatch):
+        # argparse wraps --help and usage lines at $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv(cli.PRECISION_ENV_VAR, raising=False)
+
+    @pytest.mark.parametrize("argv", PARSED + PARSER_EXITS, ids=" ".join)
+    def test_same_output_as_the_full_parse(self, capsys, monkeypatch, argv):
+        once = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse", _full_parse)
+        assert run(capsys, *argv) == once
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_same_namespace_as_the_full_parse(self, argv):
+        args = cli._parse(argv)
+        assert args.subcommand == argv[0]
+        assert vars(args) == vars(_full_parse(argv))
+
+    @pytest.mark.parametrize(
+        "argv, leftover",
+        [(["power-sum", "--bogus"], "--bogus"), (["knots", "--family", "chebyshev1", "--n", "3", "extra"], "extra")],
+    )
+    def test_leftover_arguments_are_the_top_level_error(self, capsys, argv, leftover):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fejerlab [-h]")
+        assert err.endswith(f"\nfejerlab: error: unrecognized arguments: {leftover}\n")
+
+    @pytest.mark.parametrize("argv", [["power-sum", "--m", "2", "--n", "5"], ["power-sum", "--bogus"], []], ids=" ".join)
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["fejerlab", *argv])
+        code = cli.main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected

@@ -518,16 +518,13 @@ class TestHalleyRefinement:
                 assert below * above < 0 and lo <= x <= hi, (n, seed)
                 assert hi - lo < 1 << (wp - 100), (n, seed)
 
-    @pytest.mark.parametrize("bits", [256, 512])
-    def test_cold_set_evaluations(self, monkeypatch, bits):
-        # Halley from the asymptotic seeds on a precision ladder, stopped on
-        # the predicted error of the step just taken: at 256 bits one
-        # evaluation below wp and one at wp per root, at 512 at most three,
-        # the first below wp and the last at it.  The proof reads that last
-        # evaluation: nothing is evaluated once the roots are found.
+    @staticmethod
+    def _ladders(monkeypatch, n, bits):
+        """The precision of each Halley evaluation of a cold (1/3, 1/5) set,
+        one list per root; asserts that nothing is evaluated outside _refine,
+        so the proof reads the last evaluation and makes none of its own."""
         knots_mod.gauss_jacobi_knots.cache_clear()
         derivatives, refine = knots_mod._fixed_derivatives, knots_mod._refine
-        wp = bits + knots_mod._ROOT_GUARD_BITS
         per_root, outside = [], []
         refining = False
 
@@ -546,12 +543,29 @@ class TestHalleyRefinement:
 
         monkeypatch.setattr(knots_mod, "_fixed_derivatives", counting)
         monkeypatch.setattr(knots_mod, "_refine", tracked)
-        n = 24
         gauss_jacobi_knots(n, F(1, 3), F(1, 5), bits)
         assert len(per_root) == n and outside == []
-        for ladder in per_root:
+        return per_root
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_cold_set_evaluations(self, monkeypatch, bits):
+        # Halley from the asymptotic seeds on a precision ladder, stopped on
+        # the predicted error of the step just taken: at 256 bits one
+        # evaluation below wp and one at wp per root, at 512 at most three,
+        # the first below wp and the last at it.
+        wp = bits + knots_mod._ROOT_GUARD_BITS
+        for ladder in self._ladders(monkeypatch, 24, bits):
             assert ladder[0] < wp and ladder[-1] == wp, ladder
             assert (len(ladder) == 2) if bits == 256 else (len(ladder) <= 3), ladder
+
+    @pytest.mark.parametrize("n", [24, 200])
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_ladder_reaches_wp_once(self, monkeypatch, n, bits):
+        # the rung below wp leaves X within the stop rule at wp, so the one
+        # evaluation at wp is the last, at the roots near the ends too
+        wp = bits + knots_mod._ROOT_GUARD_BITS
+        for ladder in self._ladders(monkeypatch, n, bits):
+            assert ladder.count(wp) == 1 and ladder[-1] == wp, ladder
 
     def test_halley_cap_failure(self, monkeypatch):
         # good float seeds, then one Halley step allowed where 256 bits need
