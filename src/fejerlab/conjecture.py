@@ -14,8 +14,12 @@ Two tools, both deliberately conservative:
   confirmations astronomically unlikely.
 
 explore_knot_family applies rational_reconstruct to the (E1) derivative sum
-at one n of a knot family, split into its nearest-knot term and the rest;
-a sweep over n is the caller's loop, so each n's findings are ready as soon
+at one n of a knot family, split into its nearest-knot term and the
+off-center aggregate of the rest.  Both parts come from derivative_sum: the
+aggregate is its residual minus the nearest term, so it carries a
+residual's contract (the row's exact off-center sum within a few roundings,
+and exactly 0 where that sum is 0).
+A sweep over n is the caller's loop, so each n's findings are ready as soon
 as that n is done.
 """
 from __future__ import annotations
@@ -158,24 +162,19 @@ def _nearest_knot(knots: KnotSet, y0: ApFloat) -> int:
 
 
 def _aggregate_terms(
-    family: str,
-    params: dict,
-    p: int,
-    y0_exact: Fraction,
-    n: int,
-    precision_bits: int,
+    family: str, params: dict, p: int, y0: ApFloat, n: int, precision_bits: int
 ) -> tuple[ApFloat, ApFloat]:
-    """(sum of off-nearest terms, nearest-knot term) of the derivative sum."""
+    """(off-center aggregate, nearest-knot term) of the derivative sum at p.
+
+    The aggregate is derivative_sum's residual, the row's exact sum rounded
+    once, minus the nearest term: the row's exact off-center sum after the
+    roundings of the residual, the term and their difference, and exactly 0
+    where that sum is 0.
+    """
     knots = make_knots(family, n, precision_bits, **params)
-    basis = hermite_fejer_basis(knots)
-    y0 = ApFloat(y0_exact, precision_bits)
-    _, terms = derivative_sum(basis, p, y0)
-    nearest = _nearest_knot(knots, y0)
-    rest = ApFloat(0, precision_bits)
-    for i, t in enumerate(terms):
-        if i != nearest:
-            rest = rest + t
-    return rest, terms[nearest]
+    residual, terms = derivative_sum(hermite_fejer_basis(knots), p, y0)
+    nearest = terms[_nearest_knot(knots, y0)]
+    return residual - nearest, nearest
 
 
 def explore_knot_family(
@@ -190,16 +189,17 @@ def explore_knot_family(
     """Hunt for rational structure in the derivative sum at n knots of a family.
 
     The h_i^(p)(y0) terms are split into the structurally special one (the
-    knot nearest y0) and the aggregate of the rest, and each part is offered
-    to rational_reconstruct with a genuine doubled-precision rebuild as its
-    confirmation.  Returns (aggregate, nearest); nothing is asserted about
-    them beyond honest confirmation flags.
+    knot nearest y0) and the aggregate of the rest, read off derivative_sum
+    as its residual minus that term, and each part is offered to
+    rational_reconstruct with a genuine doubled-precision rebuild, at the
+    same y0, as its confirmation.  Returns (aggregate, nearest); nothing is
+    asserted about them beyond honest confirmation flags.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     # Both parts confirm at the same doubled precision: build it once.
     parts = functools.cache(
-        functools.partial(_aggregate_terms, family, params or {}, p, y0.to_fraction(), n)
+        functools.partial(_aggregate_terms, family, params or {}, p, y0, n)
     )
     rest, nearest = parts(precision_bits)
     return (

@@ -17,8 +17,10 @@ coefficients [t^p] h_i(y0 + t) for p <= p_max (Griewank & Walther,
 Evaluating Derivatives, ch. 13), with l_i(y0 + t) = w_i prod_{j!=i}
 (y0 - x_j + t) built from running prefix and suffix products, so nothing
 divides by y0 - x_i.  There are two readouts of the jet, each applying p!
-exactly: derivative_sum rounds every term h_i^(p)(y0) of one order, and
-derivative_extremes reads the orders 1..p_max from one jet, so verify-eq1,
+exactly: derivative_sum rounds every term h_i^(p)(y0) of one order and their
+residual, and conjecture's explore reads its off-center aggregate off them
+as the residual minus the nearest-knot term; derivative_extremes reads the
+orders 1..p_max from one jet, so verify-eq1,
 which checks p = 1..p_max at one y0, builds one jet per (n, y0).
 The dense coefficients of the h_i, which the tests compare, come from the
 same engine: the jet at 0 truncated at 2n-1 holds every [x^p] h_i.  On
@@ -62,7 +64,10 @@ grows with n on equispaced knots (16 ulps at n = 64, 28 at n = 100) and
 stays near 2 on Chebyshev knots.  Each term is reported rounded once,
 straight to the knot precision.  A residual is the exact sum of its row's
 terms on one exponent, rounded once, so it is at most the sum of the terms'
-errors times 1 + 2^(1 - knot precision).  verify-eq1 prints only the
+errors times 1 + 2^(1 - knot precision).  Explore's aggregate, the residual
+minus the nearest term, is the row's exact off-center sum after the
+roundings of those two and of their difference (within 2 ulps of it on the
+tests' grid), and exactly 0 where that sum is 0.  verify-eq1 prints only the
 residual and a tolerance scaled by the largest |term|, so it reads
 derivative_extremes, which rounds just those two numbers per row, taking the
 maximum exactly on the row's integers, instead of n terms and the residual.

@@ -189,17 +189,17 @@ def test_criterion_9_precision_robustness(residual_grid):
     shrink = F(1, 2 ** 200)
     outcome_changes = []
     weak_shrinks = []
+    # A residual stored as exactly 0 has no ratio to shrink by; the shrink is
+    # measured against a floor recovered from the tolerance,
+    # t256 = S 2^(40-256) with S = max(1, max|terms|).  r512 is at most
+    # (1 + 2^-511) E, and E / u stays under 2^5 with u = S 2^-wp512 (see the
+    # hermite module), so r512 < S 2^(5 - wp512) = t256 2^(5 - wp512 + 216),
+    # which is t256 * ulp_floor * shrink for the floor below: 2^-171 at the
+    # 592-bit working precision, for every n.
+    wp512 = hermite_fejer_basis(make_knots("chebyshev1", 2, 512)).working_precision_bits
+    ulp_floor = F(2) ** (5 - wp512 + 216) / shrink
     for family, kwargs in GRID_FAMILIES:
         for n in GRID_N:
-            # A residual stored as exactly 0 has no ratio to shrink by; the
-            # shrink is measured against a floor recovered from the
-            # tolerance, tau = max(1, max|terms|) * 2^(40-256).  The floor
-            # dates from a working precision of 64 + 4n guard bits; with the
-            # flat 80 guard bits it bounds r512 only up to about n = 17, and
-            # beyond that every row whose 256-bit residual is exactly 0 has
-            # an exactly 0 512-bit residual too (its exact integer sum
-            # vanishes, as at y0 = 0 and odd p on symmetric knots).
-            ulp_floor = F(1, 2 ** (104 + 4 * n))
             for p in GRID_P:
                 for y0 in GRID_Y0:
                     r256, t256 = results[(family, n, p, y0, 256)]

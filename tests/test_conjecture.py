@@ -1,6 +1,7 @@
 """Conjecture engine: formula fitting with exact holdout gates, continued
 fraction recognition with doubled-precision confirmation, and the knot-family
 explorer cross-checked against the exact balance."""
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -20,9 +21,11 @@ from fejerlab.conjecture import (
     explore_knot_family,
     rational_reconstruct,
 )
+from fejerlab.hermite import _jet, _rows, hermite_fejer_basis
 from fejerlab.identities import inverse_power_sum, second_derivative_balance
 from fejerlab.knots import KnotSet, make_knots
 from fejerlab.ratpoly import RatPoly
+from exact_oracle import _floor_log2
 
 
 class TestPowerFormula:
@@ -239,6 +242,61 @@ class TestExploreKnotFamily:
             findings = explore_knot_family("gauss_jacobi", legendre, 2, ApFloat(0, 256), n, 256)
             assert all(rec.confirmed_at_bits == 512 for rec in findings)
         assert builds == {256: 2, 512: 2}
+
+
+AGGREGATE_FAMILIES = [
+    pytest.param("chebyshev1", {}, id="chebyshev1"),
+    pytest.param("chebyshev2", {}, id="chebyshev2"),
+    pytest.param("equispaced", {}, id="equispaced"),
+    pytest.param("gauss_jacobi", {"alpha": F(1, 3), "beta": F(1, 5)}, id="jacobi(1/3,1/5)"),
+    pytest.param("gauss_jacobi", {"alpha": F(0), "beta": F(0)}, id="legendre"),
+]
+AGGREGATE_P_MAX = 5
+
+
+def _exact_offcenter_sums(basis, y0):
+    """For p = 1..AGGREGATE_P_MAX, the exact sum of the kernel's own row
+    without the entry of the knot nearest y0 (the lowest on a tie), found
+    by exact Fraction distances: hermite._rows' pairs times p!, as
+    tests/exact_oracle.py reads them."""
+    distances = [abs(x.to_fraction() - y0.to_fraction()) for x in basis.knots.points]
+    nearest = distances.index(min(distances))
+    orders = range(1, AGGREGATE_P_MAX + 1)
+    rows = _rows(basis, _jet(basis, AGGREGATE_P_MAX, y0), orders)
+    return {
+        p: sum(F(v * math.factorial(p)) * F(2) ** e for i, (v, e) in enumerate(row) if i != nearest)
+        for p, row in zip(orders, rows)
+    }
+
+
+class TestOffCenterAggregate:
+    """Explore's aggregate is the row's exact off-center sum after three
+    roundings to the knot precision (the residual, the nearest term and
+    their difference), so it is within 2 ulps of that sum, and exactly 0
+    where that sum is 0.  It is judged against the kernel's own row, whose
+    terms carry the kernel's error, not against the mathematical value."""
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("family, params", AGGREGATE_FAMILIES)
+    def test_within_two_ulps_of_the_exact_offcenter_sum(self, family, params, bits):
+        symmetric = params.get("alpha") == params.get("beta")
+        for n in (3, 5, 9, 13):
+            basis = hermite_fejer_basis(make_knots(family, n, bits, **params))
+            for y in (F(0), F(3, 10), F(-7, 10), F(2)):
+                y0 = ApFloat(y, bits)
+                for p, exact in _exact_offcenter_sums(basis, y0).items():
+                    aggregate, _ = explore_knot_family(family, params, p, y0, n, bits)
+                    where = (n, y, p)
+                    if symmetric and y == 0 and p % 2 and n % 2:
+                        # the middle knot is the nearest, and the mirrored
+                        # terms of the rest cancel exactly
+                        assert exact == 0, where
+                    if exact == 0:
+                        assert str(aggregate.input) == "0.0", where
+                        continue
+                    # the ulp of exact at the knot precision
+                    ulp = F(2) ** (_floor_log2(abs(exact.numerator), exact.denominator) + 1 - bits)
+                    assert abs(aggregate.input.to_fraction() - exact) <= 2 * ulp, where
 
 
 class TestNearestKnot:
