@@ -26,10 +26,15 @@ The dense coefficients of the h_i, which the tests compare, come from the
 same engine: the jet at 0 truncated at 2n-1 holds every [x^p] h_i.  On
 Chebyshev knots chebyshev_closed_form(n, bits) is the independent
 construction: it builds them from the closed form above, on integers, and
-the two must agree.  Nothing is stored between calls.  A basis is a pure
-function of its knot set and is cached, bounded like the knot sets, which
-every family caches too, so a caller that repeats a knot set builds the set
-and its basis once.
+the two must agree.  A basis is a pure function of its knot set and is
+cached, bounded like the knot sets, which every family caches too, so a
+caller that repeats a knot set builds the set and its basis once.  The one
+thing stored between calls beyond that is derivative_extremes' readout: its
+rounded rows at each y0 are kept on the basis, at most _READOUT_ROWS rows
+per basis, so a caller that repeats a (knot set, y0), as a CLI sweep or a
+session of checks does, builds that jet once.  derivative_sum stores
+nothing.  Rows above 2n-1 are exact zeros and neither readout takes their
+p!.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -90,11 +95,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
 
-from mpmath.libmp import fone, from_int, from_man_exp, mpf_cmp, mpf_div, mpf_shift
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_cmp, mpf_div, mpf_shift
 
 from .apnum import _RND, ApFloat, NumPoly, _check_precision, _man_exp, _renorm, max_abs
 from .knots import _KNOT_SET_CAP, KnotSet, chebyshev1_knots
@@ -112,8 +118,47 @@ _BLOCK_GUARD_BITS = 32
 _GUARD_BITS = 80
 
 
+#: Rows of derivative_extremes readouts one basis keeps, over all its y0:
+#: ten y0 at p_max = 8, a CLI sweep's grid, fit with room to spare.
+_READOUT_ROWS = 128
+
+
 def _guarded_precision(knots: KnotSet) -> int:
     return knots.precision_bits + _GUARD_BITS
+
+
+class _ReadoutTable:
+    """derivative_extremes' rows by y0.raw, for one basis: each readout a
+    tuple of rows (m_r, e_r, m_l, e_l), the rounded residual m_r 2^e_r and
+    largest |term| m_l 2^e_l of the orders 1, 2, ...  At most _READOUT_ROWS
+    rows in all, the oldest readout dropped first; one lock guards the dict,
+    so threads that share the basis share the table."""
+
+    __slots__ = ("_lock", "_readouts")
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._readouts: dict[tuple, tuple] = {}
+
+    def get(self, key: tuple) -> tuple:
+        with self._lock:
+            return self._readouts.get(key, ())
+
+    def put(self, key: tuple, rows: tuple) -> None:
+        """Keep rows as the newest readout of key, unless the table already
+        holds one at least as deep (another thread computed it meanwhile) or
+        rows alone exceed the budget."""
+        if len(rows) > _READOUT_ROWS:
+            return
+        with self._lock:
+            readouts = self._readouts
+            if len(readouts.get(key, ())) >= len(rows):
+                return
+            readouts.pop(key, None)  # reinserted as the newest
+            readouts[key] = rows
+            total = sum(map(len, readouts.values()))
+            while total > _READOUT_ROWS:
+                total -= len(readouts.pop(next(iter(readouts))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +169,18 @@ class FundamentalBasis:
     as the integer pairs (m, e) with value m 2^e that the kernel reads; they
     are all that evaluation needs.  h, the dense coefficients, is read from
     the Taylor jet on every read and never stored, so a cached basis holds
-    O(n) numbers whoever reads it.  Nothing else is stored, so a basis can
-    be shared between threads: hermite_fejer_basis hands one cached basis to
-    every caller with an equal knot set.
+    O(n) numbers whoever reads it.  The one other thing it stores is
+    _readouts, derivative_extremes' rounded rows at the y0 it was asked
+    for, bounded at _READOUT_ROWS rows and guarded by its own lock, so a
+    basis can be shared between threads: hermite_fejer_basis hands one
+    cached basis to every caller with an equal knot set, and the table goes
+    with the basis when that cache drops it.
     """
 
     knots: KnotSet
     weights: tuple[tuple[int, int], ...]
     slopes: tuple[tuple[int, int], ...]
+    _readouts: _ReadoutTable = field(default_factory=_ReadoutTable, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -253,7 +302,8 @@ def _rows(basis: FundamentalBasis, jet: tuple, orders: Sequence[int]) -> tuple:
     n, bits = basis.n, basis.working_precision_bits + _BLOCK_GUARD_BITS
     d, L, gs = jet
     ks = range(max(orders[0] - 1, 0), min(orders[-1] + 1, len(gs[0][0])))
-    rows = [[(0, 0)] * n for _ in orders]
+    zero = ((0, 0),) * n  # one row shared by every order above the jet
+    rows = [[(0, 0)] * n if p in ks else zero for p in orders]
     # each live row with the index of its c_p in ks; that index is 0 only at p = 0
     live = [(row, p - ks.start) for row, p in zip(rows, orders) if p in ks]
     for i, ((g, eg), (mw, ew), (ms, es)) in enumerate(zip(gs, basis.weights, basis.slopes)):
@@ -334,21 +384,34 @@ def derivative_extremes(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> lis
     derivative_sum at p.  The maximum is taken exactly, on the row's
     integers on one exponent.  Rounding to nearest is monotone and odd, so
     largest has the bits of max_abs of derivative_sum's terms; a zero row
-    (p > 2n-1) gives 0.
+    (p > 2n-1) gives 0, with no p! taken.
+
+    The rows 1..min(p_max, 2n-1) are kept on the basis, keyed by y0's value,
+    as rounded integer pairs (see _ReadoutTable).  A repeated (knot set, y0)
+    reads them back, a prefix when p_max is no deeper than the rows kept,
+    with the bits a fresh jet gives; a deeper p_max builds one jet and
+    replaces them.
     """
     if p_max < 1:
         raise ValueError(f"derivative order must be >= 1, got p_max = {p_max}")
-    prec = basis.precision_bits
-    out = []
-    for p, row in enumerate(_rows(basis, _jet(basis, p_max, y0), range(1, p_max + 1)), 1):
-        ints, low = _one_exponent(row)
-        fact = math.factorial(p)
-        top = max(max(ints), -min(ints)) if ints else 0
-        out.append((
-            ApFloat._wrap(from_man_exp(sum(ints) * fact, low, prec, _RND), prec),
-            ApFloat._wrap(from_man_exp(top * fact, low, prec, _RND), prec),
-        ))
-    return out
+    prec, q = basis.precision_bits, min(p_max, 2 * basis.n - 1)
+    rows = basis._readouts.get(y0.raw)
+    if len(rows) < q:
+        fact, rows = 1, []
+        for p, row in zip(range(1, q + 1), _rows(basis, _jet(basis, p_max, y0), range(1, p_max + 1))):
+            ints, low = _one_exponent(row)
+            fact *= p
+            top = max(max(ints), -min(ints)) if ints else 0
+            residual = _man_exp(from_man_exp(sum(ints) * fact, low, prec, _RND))
+            rows.append(residual + _man_exp(from_man_exp(top * fact, low, prec, _RND)))
+        rows = tuple(rows)
+        basis._readouts.put(y0.raw, rows)
+    zero = ApFloat._wrap(fzero, prec)
+    out = [
+        (ApFloat._wrap(from_man_exp(mr, er), prec), ApFloat._wrap(from_man_exp(ml, el), prec))
+        for mr, er, ml, el in rows[:q]
+    ]
+    return out + [(zero, zero)] * (p_max - q)
 
 
 def derivative_sum(
@@ -365,7 +428,7 @@ def derivative_sum(
     if p < 1:
         raise ValueError(f"derivative order must be >= 1, got {p}")
     (row,) = _rows(basis, _jet(basis, p, y0), (p,))
-    fact = math.factorial(p)
+    fact = math.factorial(p) if p < 2 * basis.n else 0  # rows above 2n-1 are exact zeros
     row = [(v * fact, e) for v, e in row]
     prec = basis.precision_bits
     terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]

@@ -90,6 +90,9 @@ class TestVerifyEq1:
         ]
 
     def test_one_jet_per_n_and_y0(self, capsys, monkeypatch):
+        # fresh bases: a basis kept from an earlier test reads its stored
+        # readouts back and builds no jet
+        hermite_mod.hermite_fejer_basis.cache_clear()
         builds, rows = [], []
         jet, jet_rows = hermite_mod._jet, hermite_mod._rows
 
@@ -111,6 +114,59 @@ class TestVerifyEq1:
         assert len(json_lines(out)) == 4 * 6 * 2
         assert builds == [(n, 6) for n in (2, 3, 4, 5) for _ in range(2)]
         assert len(rows) == 48  # one row per record, none formed twice
+
+    @staticmethod
+    def _count_jets(monkeypatch):
+        builds = []
+        jet = hermite_mod._jet
+
+        def counting_jet(basis, p_max, y0):
+            builds.append((basis.n, p_max))
+            return jet(basis, p_max, y0)
+
+        monkeypatch.setattr(hermite_mod, "_jet", counting_jet)
+        return builds
+
+    def test_repeated_argv_reads_stored_rows(self, capsys, monkeypatch):
+        hermite_mod.hermite_fejer_basis.cache_clear()
+        builds = self._count_jets(monkeypatch)
+        argv = ("verify-eq1", "--family", "gauss_jacobi", "--alpha", "1/3", "--beta", "1/5",
+                "--n-max", "6", "--p-max", "8", "--y0", "0", "--y0=-7/10", "--y0", "2")
+        first = run(capsys, *argv)
+        assert len(builds) == 5 * 3
+        second = run(capsys, *argv)
+        assert second == first and first[0] == 0
+        assert len(builds) == 5 * 3  # the second run built no jet
+
+    def test_shallower_p_max_reads_a_prefix_and_deeper_builds_once(self, capsys, monkeypatch):
+        hermite_mod.hermite_fejer_basis.cache_clear()
+        builds = self._count_jets(monkeypatch)
+        argv = ("verify-eq1", "--n", "5", "--y0", "3/10", "--precision-bits", "128")
+        out = {}
+        for p_max in ("6", "3", "8"):
+            code, out[p_max], _ = run(capsys, *argv, "--p-max", p_max)
+            assert code == 0
+        assert builds == [(5, 6), (5, 8)]
+        deep = out["8"].splitlines()
+        assert out["6"].splitlines() == deep[:6] and out["3"].splitlines() == deep[:3]
+        hermite_mod.hermite_fejer_basis.cache_clear()
+        assert run(capsys, *argv, "--p-max", "3")[1] == out["3"]
+
+    def test_deep_p_max_costs_no_factorial_of_a_zero_row(self, capsys, monkeypatch):
+        # rows above 2n - 1 are exact zeros; p! of p = 20000 would take seconds
+        factorials = []
+        factorial = hermite_mod.math.factorial
+
+        def counting(p):
+            factorials.append(p)
+            return factorial(p)
+
+        monkeypatch.setattr(hermite_mod.math, "factorial", counting)
+        code, out, _ = run(capsys, "verify-eq1", "--n", "3", "--p-max", "20000", "--precision-bits", "64")
+        rows = json_lines(out)
+        assert code == 0 and len(rows) == 20000 and all(r["pass"] for r in rows)
+        assert all(r["residual"] == "0.0" for r in rows[5:])
+        assert factorials == []
 
     @pytest.mark.parametrize(
         "y0s", [("1/3", "1/3"), ("1/2", "2/4"), ("0.5", "1/2"), ("0", "1/5", "0/7")]

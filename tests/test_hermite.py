@@ -1,14 +1,17 @@
 """Fundamental-polynomial construction: hand-built exact oracles, the
 cardinality conditions, and the vanishing derivative sums."""
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
+import fejerlab.hermite as hermite_mod
 import fejerlab.knots as knots_mod
 from fejerlab.apnum import ApFloat, NumPoly, max_abs
 from fejerlab.conjecture import _nearest_knot
@@ -30,8 +33,9 @@ from fejerlab.knots import (
     make_knots,
 )
 from fejerlab.ratpoly import RatPoly
-from exact_oracle import error_ulps, exact_rows, term_errors
+from exact_oracle import FAMILIES, error_ulps, exact_rows, term_errors
 from reference import pow2
+from test_kernel_digest import NS, P_MAX, PRECISIONS, Y0S
 
 BITS = 256
 
@@ -460,6 +464,157 @@ class TestDerivativeExtremes:
         basis = hermite_fejer_basis(chebyshev1_knots(3, BITS))
         with pytest.raises(ValueError):
             derivative_extremes(basis, p_max, ApFloat(0, BITS))
+
+
+def _raws(readout):
+    return [(r.raw, r.precision_bits, largest.raw, largest.precision_bits) for r, largest in readout]
+
+
+def _stored_rows(basis):
+    return {key: len(rows) for key, rows in basis._readouts._readouts.items()}
+
+
+class TestStoredReadouts:
+    """derivative_extremes keeps each readout on its basis, keyed by y0: a
+    repeated (knot set, y0) reads the rows back with the bits of a fresh
+    jet, within a fixed row budget, and the table goes with the basis."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        builds = []
+        jet = hermite_mod._jet
+
+        def counting_jet(basis, p_max, y0):
+            builds.append((basis.n, p_max, y0.raw))
+            return jet(basis, p_max, y0)
+
+        monkeypatch.setattr(hermite_mod, "_jet", counting_jet)
+        return builds
+
+    def test_stored_readouts_equal_fresh_ones_over_the_digest_grid(self, builds):
+        for family, params in FAMILIES:
+            for n in NS:
+                if family == "equispaced" and n < 2:
+                    continue
+                for bits in PRECISIONS:
+                    knots = make_knots(family, n, bits, **params)
+                    hermite_fejer_basis.cache_clear()
+                    basis = hermite_fejer_basis(knots)
+                    points = [knots.points[n // 2] if y is None else ApFloat(y, bits) for y in Y0S]
+                    for y0 in points:
+                        derivative_extremes(basis, P_MAX, y0)
+                    built = len(builds)
+                    stored = [_raws(derivative_extremes(basis, p_max, y0)) for y0 in points for p_max in (P_MAX, 3)]
+                    assert len(builds) == built  # read back, no jet
+                    hermite_fejer_basis.cache_clear()
+                    fresh_basis = hermite_fejer_basis(knots)
+                    assert fresh_basis is not basis
+                    fresh = []
+                    for y0 in points:
+                        fresh.append(_raws(derivative_extremes(fresh_basis, P_MAX, y0)))
+                        fresh.append(_raws(derivative_extremes(replace(basis), 3, y0)))
+                    assert stored == fresh, (family, n, bits)
+
+    def test_zero_rows_keep_their_bits(self, builds):
+        # rows above 2n - 1 are the exact zero at the knot precision, stored
+        # or not, and derivative_sum's zero rows are too
+        for n, bits in ((1, 64), (3, 256), (5, 512)):
+            basis = hermite_fejer_basis(chebyshev1_knots(n, bits))
+            y0 = ApFloat(F(3, 10), bits)
+            for _ in range(2):
+                rows = derivative_extremes(basis, 2 * n + 40, y0)
+                assert len(rows) == 2 * n + 40
+                assert all(r.raw == largest.raw == fzero for r, largest in rows[2 * n - 1 :])
+                assert all(r.precision_bits == largest.precision_bits == bits for r, largest in rows)
+            assert max(len(rows) for rows in basis._readouts._readouts.values()) == 2 * n - 1
+            for p in (2 * n, 2 * n + 1, 1000):
+                residual, terms = derivative_sum(basis, p, y0)
+                assert [t.raw for t in [residual, *terms]] == [fzero] * (n + 1)
+                assert {t.precision_bits for t in [residual, *terms]} == {bits}
+
+    def test_shallower_p_max_reads_a_prefix_and_deeper_builds_once(self, builds):
+        basis = replace(hermite_fejer_basis(chebyshev2_knots(7, BITS)))
+        y0 = ApFloat(F(-2, 9), BITS)
+        deep = derivative_extremes(basis, 10, y0)
+        assert _raws(derivative_extremes(basis, 4, y0)) == _raws(deep[:4])
+        assert len(builds) == 1
+        deeper = derivative_extremes(basis, 13, y0)
+        assert _raws(deeper[:10]) == _raws(deep) and len(builds) == 2
+        # 13 rows are all of a degree-13 basis: any deeper p_max reads them
+        assert _raws(derivative_extremes(basis, 30, y0)[:13]) == _raws(deeper)
+        assert len(builds) == 2 and _stored_rows(basis) == {y0.raw: 13}
+
+    def test_row_budget_holds_over_forty_y0(self, builds):
+        n, budget = 5, hermite_mod._READOUT_ROWS
+        basis = replace(hermite_fejer_basis(equispaced_knots(n, F(-1), F(1), BITS)))
+        points = [ApFloat(F(k, 41), BITS) for k in range(-20, 20)]
+        for y0 in points:
+            derivative_extremes(basis, 12, y0)  # 2n - 1 = 9 rows kept of 12
+            stored = _stored_rows(basis)
+            assert sum(stored.values()) <= budget
+            assert set(stored.values()) == {2 * n - 1}
+        # the newest y0 stay, the oldest went first
+        assert list(_stored_rows(basis)) == [y0.raw for y0 in points[-(budget // 9) :]]
+        builds.clear()
+        derivative_extremes(basis, 12, points[-1])
+        derivative_extremes(basis, 12, points[0])
+        assert [b[2] for b in builds] == [points[0].raw]
+
+    def test_a_readout_deeper_than_the_budget_is_not_kept(self, builds):
+        basis = replace(hermite_fejer_basis(chebyshev1_knots(70, 64)))
+        y0 = ApFloat(F(3, 10), 64)
+        derivative_extremes(basis, 8, y0)
+        derivative_extremes(basis, 140, y0)  # 139 rows, over the 128-row budget
+        assert _stored_rows(basis) == {y0.raw: 8}
+
+    def test_the_table_goes_with_its_basis(self):
+        basis = hermite_fejer_basis(gauss_jacobi_knots(6, F(1, 3), F(1, 5), BITS))
+        derivative_extremes(basis, 8, ApFloat(F(1, 7), BITS))
+        assert _stored_rows(basis)
+        gone = weakref.ref(basis)
+        del basis
+        for k in range(hermite_fejer_basis.cache_info().maxsize):
+            hermite_fejer_basis(equispaced_knots(2, F(-1), F(k + 1), 64))
+        gc.collect()
+        assert gone() is None
+
+    def test_threads_sharing_one_table_match_serial(self):
+        # 8 threads over one basis, with enough y0 and mixed p_max that
+        # readouts are replaced and evicted while others read them
+        knots = gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS)
+        points = [ApFloat(F(k, 29), BITS) for k in range(-12, 12)]
+        jobs = [(p_max, k) for k in range(len(points)) for p_max in (1, 3, 8, 17, 30)]
+        serial = {(p_max, k): _raws(derivative_extremes(replace(hermite_fejer_basis(knots)), p_max, points[k]))
+                  for p_max, k in jobs}
+        hermite_fejer_basis.cache_clear()
+        seen, errors = [], []
+
+        def work(shift):
+            try:
+                basis = hermite_fejer_basis(knots)
+                for rep in range(6):
+                    for job in jobs[shift + rep :] + jobs[: shift + rep]:
+                        seen.append((job, _raws(derivative_extremes(basis, job[0], points[job[1]]))))
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 8 * 6 * len(jobs)
+        assert all(result == serial[job] for job, result in seen)
+        stored = _stored_rows(hermite_fejer_basis(knots))
+        assert sum(stored.values()) <= hermite_mod._READOUT_ROWS
+        assert max(stored.values()) <= 2 * 9 - 1
 
 
 class TestWorkingPrecision:
