@@ -85,10 +85,12 @@ class ApFloat:
     Construct from an int, a Fraction or an ApFloat, correctly rounded to
     precision_bits (a raw libmp tuple is refused: wrap one that is already
     rounded with ApFloat._wrap), or combine existing values with the usual
-    operators.  Values are immutable.
+    operators.  Values are immutable.  The decimal text, str(x), is computed
+    at most once per value: the first read keeps it, and a value can be
+    wrapped with its text already known.  Equality and hashing ignore it.
     """
 
-    __slots__ = ("raw", "precision_bits")
+    __slots__ = ("raw", "precision_bits", "_text")
 
     def __init__(self, value, precision_bits: int):
         _check_precision(precision_bits)
@@ -104,12 +106,15 @@ class ApFloat:
         object.__setattr__(self, "precision_bits", precision_bits)
 
     @classmethod
-    def _wrap(cls, raw, precision_bits: int) -> "ApFloat":
+    def _wrap(cls, raw, precision_bits: int, text: str | None = None) -> "ApFloat":
         """A raw mpf the caller has already rounded to a checked precision,
-        wrapped without re-validating either."""
+        wrapped without re-validating either; text, when given, is its
+        str() as read before, and is not checked either."""
         self = object.__new__(cls)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "precision_bits", precision_bits)
+        if text is not None:
+            object.__setattr__(self, "_text", text)
         return self
 
     def __setattr__(self, name, value):
@@ -129,7 +134,12 @@ class ApFloat:
         return to_float(self.raw, rnd=_RND)
 
     def __str__(self) -> str:
-        return to_str(self.raw, repr_dps(self.precision_bits))
+        try:
+            return self._text
+        except AttributeError:  # the slot stays empty until the first read
+            text = to_str(self.raw, repr_dps(self.precision_bits))
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self) -> str:
         return f"ApFloat('{self}', {self.precision_bits})"
@@ -156,7 +166,10 @@ class ApFloat:
         return ApFloat._wrap(mpf_neg(self.raw), self.precision_bits)
 
     def __abs__(self) -> "ApFloat":
-        return ApFloat._wrap(mpf_abs(self.raw), self.precision_bits)
+        # to_str writes a sign and then the digits of |x|, so a known text
+        # stays known without its sign
+        text = getattr(self, "_text", None)
+        return ApFloat._wrap(mpf_abs(self.raw), self.precision_bits, text and text.lstrip("-"))
 
     def is_zero(self) -> bool:
         return self.raw == fzero

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import conjecture as conj
 from .apnum import MIN_PRECISION_BITS, ApFloat
-from .hermite import derivative_extremes, hermite_fejer_basis, scaled_tolerance
+from .hermite import derivative_extremes, hermite_fejer_basis
 from .hermite import derivative_sum  # noqa: F401  (bench/tracing.py patches this name)
 from .identities import inverse_power_sum, verify_cosecant_sum
 from .knots import FAMILIES, ConvergenceFailure, KnotSpacingError, make_knots
@@ -136,19 +136,21 @@ def _cmd_verify_eq1(args) -> Records:
     if len(set(y0_list)) != len(y0_list):
         raise UsageError("--y0 values must be distinct")
     y0_points = [ApFloat(y0, args.precision_bits) for y0 in y0_list]
+    y0_texts = [format_rational(y0) for y0 in y0_list]
     params = _knot_params(args)
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
+        # a readout carries its tolerance, and a kept one the texts of its
+        # residual and tolerance: a repeated (knot set, y0) formats no number
         sums = [derivative_extremes(basis, args.p_max, y0) for y0 in y0_points]
         for p, row in enumerate(zip(*sums), 1):
-            for y0, (residual, largest) in zip(y0_list, row):
-                tolerance = scaled_tolerance([largest], args.precision_bits)
+            for y0, y0_text, (residual, _, tolerance) in zip(y0_list, y0_texts, row):
                 ok = abs(residual) <= tolerance
                 obj = {
                     "family": args.family,
                     "n": n,
                     "p": p,
-                    "y0": format_rational(y0),
+                    "y0": y0_text,
                     "residual": str(residual),
                     "tolerance": str(tolerance),
                     "precision_bits": args.precision_bits,

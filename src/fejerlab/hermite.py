@@ -31,10 +31,11 @@ cached, bounded like the knot sets, which every family caches too, so a
 caller that repeats a knot set builds the set and its basis once.  The one
 thing stored between calls beyond that is derivative_extremes' readout: its
 rounded rows at each y0 are kept on the basis, at most _READOUT_ROWS rows
-per basis, so a caller that repeats a (knot set, y0), as a CLI sweep or a
-session of checks does, builds that jet once.  derivative_sum stores
-nothing.  Rows above 2n-1 are exact zeros and neither readout takes their
-p!.
+per basis, each with the decimal texts of its residual and tolerance, so a
+caller that repeats a (knot set, y0), as a CLI sweep or a session of checks
+does, builds that jet once and formats those numbers once.  derivative_sum
+stores nothing.  Rows above 2n-1 are exact zeros: neither readout takes
+their p!, and derivative_sum builds no jet for one.
 
 The basis and the jet run on an integer kernel, not on libmp operations.
 The knots and y0 are dyadic, so at one common scale 2^L they are exact
@@ -129,10 +130,13 @@ def _guarded_precision(knots: KnotSet) -> int:
 
 class _ReadoutTable:
     """derivative_extremes' rows by y0.raw, for one basis: each readout a
-    tuple of rows (m_r, e_r, m_l, e_l), the rounded residual m_r 2^e_r and
-    largest |term| m_l 2^e_l of the orders 1, 2, ...  At most _READOUT_ROWS
-    rows in all, the oldest readout dropped first; one lock guards the dict,
-    so threads that share the basis share the table."""
+    tuple of rows (m_r, e_r, m_l, e_l, residual_text, tolerance_text), the
+    rounded residual m_r 2^e_r and largest |term| m_l 2^e_l of the orders
+    1, 2, ..., with the decimal texts of the residual and of its tolerance.
+    Ints and texts, not ApFloats, which would hold more bytes per row.  At
+    most _READOUT_ROWS rows in all, the oldest readout dropped first; one
+    lock guards the dict, so threads that share the basis share the
+    table."""
 
     __slots__ = ("_lock", "_readouts")
 
@@ -171,7 +175,8 @@ class FundamentalBasis:
     the Taylor jet on every read and never stored, so a cached basis holds
     O(n) numbers whoever reads it.  The one other thing it stores is
     _readouts, derivative_extremes' rounded rows at the y0 it was asked
-    for, bounded at _READOUT_ROWS rows and guarded by its own lock, so a
+    for, each with the decimal texts of its residual and tolerance, bounded
+    at _READOUT_ROWS rows and guarded by its own lock, so a
     basis can be shared between threads: hermite_fejer_basis hands one
     cached basis to every caller with an equal knot set, and the table goes
     with the basis when that cache drops it.
@@ -375,21 +380,27 @@ def _one_exponent(pairs) -> tuple[list[int], int]:
     return [v << (e - low) for v, e in pairs if v], low
 
 
-def derivative_extremes(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> list[tuple[ApFloat, ApFloat]]:
-    """(residual, largest) for each p = 1..p_max, from one Taylor jet at y0
-    truncated at p_max: derivative_sum's residual, and max_i |h_i^(p)(y0)|,
-    each rounded once to the knot precision, with no term rounded on its own.
+def derivative_extremes(
+    basis: FundamentalBasis, p_max: int, y0: ApFloat
+) -> list[tuple[ApFloat, ApFloat, ApFloat]]:
+    """(residual, largest, tolerance) for each p = 1..p_max, from one Taylor
+    jet at y0 truncated at p_max: derivative_sum's residual and
+    max_i |h_i^(p)(y0)|, each rounded once to the knot precision, with no
+    term rounded on its own, and scaled_tolerance([largest]): what
+    verify-eq1 prints.
 
     Row p has the same bits for every p_max >= p, and the bits of
     derivative_sum at p.  The maximum is taken exactly, on the row's
     integers on one exponent.  Rounding to nearest is monotone and odd, so
     largest has the bits of max_abs of derivative_sum's terms; a zero row
-    (p > 2n-1) gives 0, with no p! taken.
+    (p > 2n-1) gives 0, with no p! taken, and all of them share one triple.
 
     The rows 1..min(p_max, 2n-1) are kept on the basis, keyed by y0's value,
-    as rounded integer pairs (see _ReadoutTable).  A repeated (knot set, y0)
-    reads them back, a prefix when p_max is no deeper than the rows kept,
-    with the bits a fresh jet gives; a deeper p_max builds one jet and
+    as rounded integer pairs with the decimal texts of the residual and the
+    tolerance (see _ReadoutTable).  A repeated (knot set, y0) reads them
+    back, a prefix when p_max is no deeper than the rows kept, with the bits
+    a fresh jet gives, and its residual and tolerance carry their texts, so
+    printing them formats nothing again; a deeper p_max builds one jet and
     replaces them.
     """
     if p_max < 1:
@@ -402,23 +413,30 @@ def derivative_extremes(basis: FundamentalBasis, p_max: int, y0: ApFloat) -> lis
             ints, low = _one_exponent(row)
             fact *= p
             top = max(max(ints), -min(ints)) if ints else 0
-            residual = _man_exp(from_man_exp(sum(ints) * fact, low, prec, _RND))
-            rows.append(residual + _man_exp(from_man_exp(top * fact, low, prec, _RND)))
+            residual = from_man_exp(sum(ints) * fact, low, prec, _RND)
+            largest = from_man_exp(top * fact, low, prec, _RND)
+            texts = str(ApFloat._wrap(residual, prec)), str(ApFloat._wrap(_tolerance(largest, prec), prec))
+            rows.append(_man_exp(residual) + _man_exp(largest) + texts)
         rows = tuple(rows)
         basis._readouts.put(y0.raw, rows)
+    out = []
+    for mr, er, ml, el, residual_text, tolerance_text in rows[:q]:
+        largest = from_man_exp(ml, el)
+        out.append((
+            ApFloat._wrap(from_man_exp(mr, er), prec, residual_text),
+            ApFloat._wrap(largest, prec),
+            ApFloat._wrap(_tolerance(largest, prec), prec, tolerance_text),
+        ))
     zero = ApFloat._wrap(fzero, prec)
-    out = [
-        (ApFloat._wrap(from_man_exp(mr, er), prec), ApFloat._wrap(from_man_exp(ml, el), prec))
-        for mr, er, ml, el in rows[:q]
-    ]
-    return out + [(zero, zero)] * (p_max - q)
+    return out + [(zero, zero, ApFloat._wrap(_tolerance(fzero, prec), prec))] * (p_max - q)
 
 
 def derivative_sum(
     basis: FundamentalBasis, p: int, y0: ApFloat
 ) -> tuple[ApFloat, list[ApFloat]]:
     """(residual, terms) at the order p >= 1, from one Taylor jet at y0
-    truncated at p.
+    truncated at p; an order p > 2n-1, whose row is exactly zero, builds no
+    jet and gives exact zeros at the knot precision.
 
     terms_i is h_i^(p)(y0) rounded once to the knot precision; residual is
     the exact sum of the unrounded terms, rounded once.  The sum of the h_i
@@ -427,10 +445,13 @@ def derivative_sum(
     """
     if p < 1:
         raise ValueError(f"derivative order must be >= 1, got {p}")
-    (row,) = _rows(basis, _jet(basis, p, y0), (p,))
-    fact = math.factorial(p) if p < 2 * basis.n else 0  # rows above 2n-1 are exact zeros
-    row = [(v * fact, e) for v, e in row]
     prec = basis.precision_bits
+    if p >= 2 * basis.n:  # rows above 2n-1 are exact zeros: no jet, no p!
+        zero = ApFloat._wrap(fzero, prec)
+        return zero, [zero] * basis.n
+    (row,) = _rows(basis, _jet(basis, p, y0), (p,))
+    fact = math.factorial(p)
+    row = [(v * fact, e) for v, e in row]
     terms = [ApFloat._wrap(from_man_exp(v, e, prec, _RND), prec) for v, e in row]
     ints, low = _one_exponent(row)
     return ApFloat._wrap(from_man_exp(sum(ints), low, prec, _RND), prec), terms
@@ -445,5 +466,10 @@ def scaled_tolerance(values: Sequence[ApFloat], precision_bits: int) -> ApFloat:
     """
     _check_precision(precision_bits)
     m = max_abs(values)
-    scale = fone if m is None or mpf_cmp(m.raw, fone) < 0 else m.raw
-    return ApFloat._wrap(mpf_shift(scale, 40 - precision_bits), precision_bits)
+    return ApFloat._wrap(_tolerance(fzero if m is None else m.raw, precision_bits), precision_bits)
+
+
+def _tolerance(largest, precision_bits: int):
+    """The raw max(1, largest) 2^(40 - precision_bits), for a raw largest >= 0."""
+    scale = fone if mpf_cmp(largest, fone) < 0 else largest
+    return mpf_shift(scale, 40 - precision_bits)

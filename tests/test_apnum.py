@@ -5,11 +5,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mpmath.libmp import (
     from_int,
     from_rational,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_cos,
     mpf_div,
@@ -19,7 +22,9 @@ from mpmath.libmp import (
     mpf_sin,
     mpf_sqrt,
     mpf_sub,
+    repr_dps,
     round_nearest,
+    to_str,
 )
 
 import fejerlab
@@ -131,6 +136,34 @@ class TestApFloat:
         x = ApFloat(F(22, 7), 128)
         reparsed = F(str(x))
         assert abs(reparsed - x.to_fraction()) <= F(1, 2 ** 128)
+
+    # libmp's to_str scales by a power of ten first when |exponent + bitcount|
+    # > 3500; magnitudes straddle that branch on both sides
+    @given(
+        bits=st.integers(64, 1024),
+        mantissa=st.integers(-(2 ** 1100), 2 ** 1100),
+        magnitude=st.one_of(st.integers(-3700, 3700), st.integers(3490, 3510), st.integers(-3510, -3490)),
+    )
+    @example(bits=64, mantissa=0, magnitude=0)
+    @example(bits=64, mantissa=1, magnitude=3501)
+    @example(bits=1024, mantissa=-(2 ** 1100 - 1), magnitude=-3501)
+    def test_text_is_to_str_on_every_read(self, bits, mantissa, magnitude):
+        x = ApFloat(F(mantissa) * F(2) ** (magnitude - mantissa.bit_length()), bits)
+        fresh = ApFloat._wrap(x.raw, bits)
+        text = to_str(x.raw, repr_dps(bits))
+        assert str(x) == text and str(x) == text  # the first read and the kept one
+        assert str(abs(x)) == to_str(mpf_abs(x.raw), repr_dps(bits))  # |x| of a known text
+        assert str(abs(fresh)) == str(abs(x))
+        assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+
+    def test_text_is_formatted_at_most_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fejerlab.apnum, "to_str", lambda raw, dps: calls.append(raw) or to_str(raw, dps))
+        x = ApFloat(F(22, 7), 128)
+        assert str(x) == str(x) == str(abs(x)) and len(calls) == 1
+        known = ApFloat._wrap(x.raw, 128, "3.14")  # read back as given, not checked
+        assert str(known) == "3.14" and len(calls) == 1
+        assert str(-x) == "-3.1428571428571428571428571428571428571412" and len(calls) == 2
 
     def test_max_abs(self):
         vals = [ApFloat(-3, 64), ApFloat(2, 64)]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fejerlab.apnum as apnum_mod
 import fejerlab.cli as cli
 import fejerlab.conjecture as conj
 import fejerlab.hermite as hermite_mod
@@ -138,6 +139,26 @@ class TestVerifyEq1:
         assert second == first and first[0] == 0
         assert len(builds) == 5 * 3  # the second run built no jet
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_repeated_argv_formats_no_number(self, capsys, monkeypatch, output):
+        # p_max <= 2n - 1: every row is kept, with its residual and tolerance texts
+        hermite_mod.hermite_fejer_basis.cache_clear()
+        argv = ("verify-eq1", "--family=chebyshev1", "--n=30", "--p-max=8", "--y0=1/2", "--y0=-7/10",
+                "--y0=1/7", "--precision-bits=256", f"--output={output}")
+        first = run(capsys, *argv)
+        calls = []
+        for module, name in ((apnum_mod, "to_str"), (hermite_mod, "scaled_tolerance")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        second = run(capsys, *argv)
+        assert second == first and first[0] == 0 and len(first[1].splitlines()) == 24
+        assert calls == []
+
     def test_shallower_p_max_reads_a_prefix_and_deeper_builds_once(self, capsys, monkeypatch):
         hermite_mod.hermite_fejer_basis.cache_clear()
         builds = self._count_jets(monkeypatch)
@@ -189,10 +210,14 @@ class TestVerifyEq1:
         assert json_lines(out)[0]["pass"] is True
 
     def test_exit_one_on_check_failure(self, capsys, monkeypatch):
-        # force a failing comparison to pin the exit-code contract
-        monkeypatch.setattr(
-            cli, "scaled_tolerance", lambda terms, bits: ApFloat(F(-1), bits)
-        )
+        # force a failing comparison, a readout whose tolerance is below
+        # |residual|, to pin the exit-code contract
+        extremes = cli.derivative_extremes
+
+        def failing(basis, p_max, y0):
+            return [(r, largest, ApFloat(-1, basis.precision_bits)) for r, largest, _ in extremes(basis, p_max, y0)]
+
+        monkeypatch.setattr(cli, "derivative_extremes", failing)
         code, out, _ = run(
             capsys,
             "verify-eq1", "--family", "chebyshev1", "--n", "3",

@@ -287,7 +287,7 @@ class TestDerivativeSum:
         for y0 in (basis.knots.points[n // 3], ApFloat(F(3, 10), BITS), ApFloat(F(-5, 4), BITS)):
             rows = derivative_extremes(basis, 2 * n + 1, y0)
             assert len(rows) == 2 * n + 1
-            for p, (r, largest) in enumerate(rows, 1):
+            for p, (r, largest, _) in enumerate(rows, 1):
                 fr, ft = derivative_sum(basis, p, y0)
                 assert r.raw == fr.raw, (p, y0)
                 assert largest.raw == max_abs(ft).raw, (p, y0)
@@ -448,7 +448,7 @@ class TestDerivativeExtremes:
             rows = _rows(basis, _jet(basis, 2 * n + 1, y0), orders)
             extremes = derivative_extremes(basis, 2 * n + 1, y0)
             assert len(extremes) == len(rows) == 2 * n + 1
-            for p, (row, (r, largest)) in enumerate(zip(rows, extremes), 1):
+            for p, (row, (r, largest, tolerance)) in enumerate(zip(rows, extremes), 1):
                 row = [(v * math.factorial(p), e) for v, e in row]  # h_i^(p) = p! [t^p]
                 terms = [_rounded(v, e, bits) for v, e in row]
                 low = min(e for _, e in row)  # the exact sum on one exponent
@@ -456,6 +456,10 @@ class TestDerivativeExtremes:
                 assert largest.raw == max_abs(terms).raw, (p, y0)
                 assert largest.precision_bits == bits
                 assert scaled_tolerance([largest], bits) == scaled_tolerance(terms, bits)
+                expected = scaled_tolerance(terms, bits)
+                assert (tolerance.raw, tolerance.precision_bits) == (expected.raw, expected.precision_bits)
+                # the kept texts are the ones a fresh value formats
+                assert str(tolerance) == str(expected) and str(r) == str(ApFloat._wrap(r.raw, bits))
                 if p >= 2 * n:
                     assert largest.is_zero() and r.is_zero()
 
@@ -467,7 +471,11 @@ class TestDerivativeExtremes:
 
 
 def _raws(readout):
-    return [(r.raw, r.precision_bits, largest.raw, largest.precision_bits) for r, largest in readout]
+    return [tuple((x.raw, x.precision_bits) for x in triple) for triple in readout]
+
+
+def _texts(readout):
+    return [tuple(map(str, triple)) for triple in readout]
 
 
 def _stored_rows(basis):
@@ -524,13 +532,17 @@ class TestStoredReadouts:
             for _ in range(2):
                 rows = derivative_extremes(basis, 2 * n + 40, y0)
                 assert len(rows) == 2 * n + 40
-                assert all(r.raw == largest.raw == fzero for r, largest in rows[2 * n - 1 :])
-                assert all(r.precision_bits == largest.precision_bits == bits for r, largest in rows)
+                assert all(r.raw == largest.raw == fzero for r, largest, _ in rows[2 * n - 1 :])
+                assert all({x.precision_bits for x in triple} == {bits} for triple in rows)
+                # one triple, whose texts are formatted once, for every zero row
+                assert all(triple is rows[2 * n - 1] for triple in rows[2 * n - 1 :])
             assert max(len(rows) for rows in basis._readouts._readouts.values()) == 2 * n - 1
+            built = len(builds)
             for p in (2 * n, 2 * n + 1, 1000):
                 residual, terms = derivative_sum(basis, p, y0)
                 assert [t.raw for t in [residual, *terms]] == [fzero] * (n + 1)
                 assert {t.precision_bits for t in [residual, *terms]} == {bits}
+            assert len(builds) == built  # a zero row takes no jet
 
     def test_shallower_p_max_reads_a_prefix_and_deeper_builds_once(self, builds):
         basis = replace(hermite_fejer_basis(chebyshev2_knots(7, BITS)))
@@ -580,12 +592,17 @@ class TestStoredReadouts:
 
     def test_threads_sharing_one_table_match_serial(self):
         # 8 threads over one basis, with enough y0 and mixed p_max that
-        # readouts are replaced and evicted while others read them
+        # readouts are replaced and evicted while others read them; the
+        # texts each readout prints must match too
         knots = gauss_jacobi_knots(9, F(1, 3), F(1, 5), BITS)
         points = [ApFloat(F(k, 29), BITS) for k in range(-12, 12)]
         jobs = [(p_max, k) for k in range(len(points)) for p_max in (1, 3, 8, 17, 30)]
-        serial = {(p_max, k): _raws(derivative_extremes(replace(hermite_fejer_basis(knots)), p_max, points[k]))
-                  for p_max, k in jobs}
+
+        def read(basis, job):
+            readout = derivative_extremes(basis, job[0], points[job[1]])
+            return _raws(readout), _texts(readout)
+
+        serial = {job: read(replace(hermite_fejer_basis(knots)), job) for job in jobs}
         hermite_fejer_basis.cache_clear()
         seen, errors = [], []
 
@@ -594,7 +611,7 @@ class TestStoredReadouts:
                 basis = hermite_fejer_basis(knots)
                 for rep in range(6):
                     for job in jobs[shift + rep :] + jobs[: shift + rep]:
-                        seen.append((job, _raws(derivative_extremes(basis, job[0], points[job[1]]))))
+                        seen.append((job, read(basis, job)))
             except Exception as exc:  # collected and asserted below
                 errors.append(exc)
 
@@ -634,7 +651,7 @@ class TestWorkingPrecision:
             for n in (12, 48, 100, 200):
                 basis = hermite_fejer_basis(make_knots(family, n, BITS))
                 for y0 in (F(3, 10), F(2)):
-                    for p, (r, largest) in enumerate(derivative_extremes(basis, 8, ApFloat(y0, BITS)), 1):
+                    for p, (r, largest, _) in enumerate(derivative_extremes(basis, 8, ApFloat(y0, BITS)), 1):
                         tol = scaled_tolerance([largest], BITS).to_fraction()
                         assert abs(r.to_fraction()) * 2 ** 110 <= tol, (family, n, p, y0)
 

@@ -44,7 +44,7 @@ def kernel_digest() -> str:
                 for y in Y0S:
                     y0 = basis.knots.points[n // 2] if y is None else ApFloat(y, bits)
                     digest.update(f"{family} {n} {bits} {y}\n".encode())
-                    for residual, largest in derivative_extremes(basis, P_MAX, y0):
+                    for residual, largest, _ in derivative_extremes(basis, P_MAX, y0):
                         digest.update(f"{_raw_text(residual)} {_raw_text(largest)}\n".encode())
                     for p in ORDERS:
                         residual, terms = derivative_sum(basis, p, y0)
