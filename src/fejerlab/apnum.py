@@ -166,6 +166,8 @@ class ApFloat:
         return ApFloat._wrap(mpf_neg(self.raw), self.precision_bits)
 
     def __abs__(self) -> "ApFloat":
+        if not self.raw[0]:  # x >= 0: mpf_abs would give back the same raw
+            return self
         # to_str writes a sign and then the digits of |x|, so a known text
         # stays known without its sign
         text = getattr(self, "_text", None)

@@ -140,8 +140,9 @@ def _cmd_verify_eq1(args) -> Records:
     params = _knot_params(args)
     for n in _n_values(args):
         basis = hermite_fejer_basis(make_knots(args.family, n, args.precision_bits, **params))
-        # a readout carries its tolerance, and a kept one the texts of its
-        # residual and tolerance: a repeated (knot set, y0) formats no number
+        # a readout carries its tolerance, and a repeated (knot set, y0)
+        # hands back the values printed before, texts and all: it formats no
+        # number again
         sums = [derivative_extremes(basis, args.p_max, y0) for y0 in y0_points]
         for p, row in enumerate(zip(*sums), 1):
             for y0, y0_text, (residual, _, tolerance) in zip(y0_list, y0_texts, row):

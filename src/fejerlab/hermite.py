@@ -29,11 +29,12 @@ construction: it builds them from the closed form above, on integers, and
 the two must agree.  A basis is a pure function of its knot set and is
 cached, bounded like the knot sets, which every family caches too, so a
 caller that repeats a knot set builds the set and its basis once.  The one
-thing stored between calls beyond that is derivative_extremes' readout: its
-rounded rows at each y0 are kept on the basis, at most _READOUT_ROWS rows
-per basis, each with the decimal texts of its residual and tolerance, so a
-caller that repeats a (knot set, y0), as a CLI sweep or a session of checks
-does, builds that jet once and formats those numbers once.  derivative_sum
+thing stored between calls beyond that is derivative_extremes' readout: the
+(residual, largest, tolerance) triples it returns at each y0 are kept on the
+basis, at most _READOUT_ROWS rows per basis, and handed back as they are, so
+a caller that repeats a (knot set, y0), as a CLI sweep or a session of checks
+does, builds that jet once and rounds, wraps and formats those numbers once:
+a kept ApFloat keeps the decimal text of its first str().  derivative_sum
 stores nothing.  Rows above 2n-1 are exact zeros: neither readout takes
 their p!, and derivative_sum builds no jet for one.
 
@@ -129,20 +130,23 @@ def _guarded_precision(knots: KnotSet) -> int:
 
 
 class _ReadoutTable:
-    """derivative_extremes' rows by y0.raw, for one basis: each readout a
-    tuple of rows (m_r, e_r, m_l, e_l, residual_text, tolerance_text), the
-    rounded residual m_r 2^e_r and largest |term| m_l 2^e_l of the orders
-    1, 2, ..., with the decimal texts of the residual and of its tolerance.
-    Ints and texts, not ApFloats, which would hold more bytes per row.  At
-    most _READOUT_ROWS rows in all, the oldest readout dropped first; one
-    lock guards the dict, so threads that share the basis share the
-    table."""
+    """derivative_extremes' readouts by y0.raw, for one basis: each a tuple
+    of the (residual, largest, tolerance) triples it returns for the orders
+    1, 2, ..., and zero, the one triple of every zero row above 2n-1.  The
+    values are immutable and fill their decimal text on their first str(),
+    so one table can hand the same objects to every caller.  A row holds
+    about 950 bytes at 256 bits once both texts are filled (tracemalloc,
+    chebyshev1 n = 30).  At most _READOUT_ROWS rows in all, the oldest
+    readout dropped first; one lock guards the dict, so threads that share
+    the basis share the table."""
 
-    __slots__ = ("_lock", "_readouts")
+    __slots__ = ("_lock", "_readouts", "zero")
 
-    def __init__(self):
+    def __init__(self, precision_bits: int):
         self._lock = threading.Lock()
         self._readouts: dict[tuple, tuple] = {}
+        zero = ApFloat._wrap(fzero, precision_bits)
+        self.zero = (zero, zero, ApFloat._wrap(_tolerance(fzero, precision_bits), precision_bits))
 
     def get(self, key: tuple) -> tuple:
         with self._lock:
@@ -174,18 +178,20 @@ class FundamentalBasis:
     are all that evaluation needs.  h, the dense coefficients, is read from
     the Taylor jet on every read and never stored, so a cached basis holds
     O(n) numbers whoever reads it.  The one other thing it stores is
-    _readouts, derivative_extremes' rounded rows at the y0 it was asked
-    for, each with the decimal texts of its residual and tolerance, bounded
-    at _READOUT_ROWS rows and guarded by its own lock, so a
-    basis can be shared between threads: hermite_fejer_basis hands one
-    cached basis to every caller with an equal knot set, and the table goes
-    with the basis when that cache drops it.
+    _readouts, the (residual, largest, tolerance) triples derivative_extremes
+    returned at the y0 it was asked for, bounded at _READOUT_ROWS rows and
+    guarded by its own lock, so a basis can be shared between threads:
+    hermite_fejer_basis hands one cached basis to every caller with an equal
+    knot set, and the table goes with the basis when that cache drops it.
     """
 
     knots: KnotSet
     weights: tuple[tuple[int, int], ...]
     slopes: tuple[tuple[int, int], ...]
-    _readouts: _ReadoutTable = field(default_factory=_ReadoutTable, init=False, repr=False, compare=False)
+    _readouts: _ReadoutTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_readouts", _ReadoutTable(self.precision_bits))
 
     @property
     def n(self) -> int:
@@ -393,42 +399,34 @@ def derivative_extremes(
     derivative_sum at p.  The maximum is taken exactly, on the row's
     integers on one exponent.  Rounding to nearest is monotone and odd, so
     largest has the bits of max_abs of derivative_sum's terms; a zero row
-    (p > 2n-1) gives 0, with no p! taken, and all of them share one triple.
+    (p > 2n-1) gives 0, with no p! taken and no row formed, and all of them
+    share one triple.
 
-    The rows 1..min(p_max, 2n-1) are kept on the basis, keyed by y0's value,
-    as rounded integer pairs with the decimal texts of the residual and the
-    tolerance (see _ReadoutTable).  A repeated (knot set, y0) reads them
-    back, a prefix when p_max is no deeper than the rows kept, with the bits
-    a fresh jet gives, and its residual and tolerance carry their texts, so
-    printing them formats nothing again; a deeper p_max builds one jet and
-    replaces them.
+    The triples of the orders 1..min(p_max, 2n-1) are kept on the basis,
+    keyed by y0's value (see _ReadoutTable).  A repeated (knot set, y0)
+    hands back the same objects, a prefix when p_max is no deeper than the
+    rows kept, so it rounds, wraps and formats nothing again; a deeper
+    p_max builds one jet and replaces them.
     """
     if p_max < 1:
         raise ValueError(f"derivative order must be >= 1, got p_max = {p_max}")
-    prec, q = basis.precision_bits, min(p_max, 2 * basis.n - 1)
-    rows = basis._readouts.get(y0.raw)
+    table, q = basis._readouts, min(p_max, 2 * basis.n - 1)
+    rows = table.get(y0.raw)
     if len(rows) < q:
-        fact, rows = 1, []
-        for p, row in zip(range(1, q + 1), _rows(basis, _jet(basis, p_max, y0), range(1, p_max + 1))):
+        prec, fact, rows = basis.precision_bits, 1, []
+        for p, row in enumerate(_rows(basis, _jet(basis, p_max, y0), range(1, q + 1)), 1):
             ints, low = _one_exponent(row)
             fact *= p
             top = max(max(ints), -min(ints)) if ints else 0
-            residual = from_man_exp(sum(ints) * fact, low, prec, _RND)
             largest = from_man_exp(top * fact, low, prec, _RND)
-            texts = str(ApFloat._wrap(residual, prec)), str(ApFloat._wrap(_tolerance(largest, prec), prec))
-            rows.append(_man_exp(residual) + _man_exp(largest) + texts)
+            rows.append((
+                ApFloat._wrap(from_man_exp(sum(ints) * fact, low, prec, _RND), prec),
+                ApFloat._wrap(largest, prec),
+                ApFloat._wrap(_tolerance(largest, prec), prec),
+            ))
         rows = tuple(rows)
-        basis._readouts.put(y0.raw, rows)
-    out = []
-    for mr, er, ml, el, residual_text, tolerance_text in rows[:q]:
-        largest = from_man_exp(ml, el)
-        out.append((
-            ApFloat._wrap(from_man_exp(mr, er), prec, residual_text),
-            ApFloat._wrap(largest, prec),
-            ApFloat._wrap(_tolerance(largest, prec), prec, tolerance_text),
-        ))
-    zero = ApFloat._wrap(fzero, prec)
-    return out + [(zero, zero, ApFloat._wrap(_tolerance(fzero, prec), prec))] * (p_max - q)
+        table.put(y0.raw, rows)
+    return list(rows[:q]) + [table.zero] * (p_max - q)
 
 
 def derivative_sum(

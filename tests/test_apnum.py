@@ -154,6 +154,8 @@ class TestApFloat:
         assert str(x) == text and str(x) == text  # the first read and the kept one
         assert str(abs(x)) == to_str(mpf_abs(x.raw), repr_dps(bits))  # |x| of a known text
         assert str(abs(fresh)) == str(abs(x))
+        if mantissa >= 0:  # a value >= 0 is its own |x|, with its text
+            assert abs(x) is x and abs(fresh) is fresh
         assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
 
     def test_text_is_formatted_at_most_once(self, monkeypatch):

@@ -544,6 +544,36 @@ class TestStoredReadouts:
                 assert {t.precision_bits for t in [residual, *terms]} == {bits}
             assert len(builds) == built  # a zero row takes no jet
 
+    def test_only_the_live_orders_are_formed(self, monkeypatch):
+        orders = []
+        rows = hermite_mod._rows
+
+        def counting_rows(basis, jet, wanted):
+            orders.append(list(wanted))
+            return rows(basis, jet, wanted)
+
+        monkeypatch.setattr(hermite_mod, "_rows", counting_rows)
+        basis = replace(hermite_fejer_basis(chebyshev1_knots(3, 64)))
+        readout = derivative_extremes(basis, 200000, ApFloat(0, 64))
+        assert orders == [[1, 2, 3, 4, 5]]
+        assert len(readout) == 200000
+        assert all(triple is basis._readouts.zero for triple in readout[5:])
+        assert [x.raw for x in basis._readouts.zero] == [fzero, fzero, pow2(-24, 64).raw]
+
+    def test_a_repeated_readout_hands_back_the_same_values(self, monkeypatch):
+        basis = replace(hermite_fejer_basis(gauss_jacobi_knots(6, F(1, 3), F(1, 5), BITS)))
+        y0 = ApFloat(F(2, 7), BITS)
+        first = derivative_extremes(basis, 11, y0)
+        calls = []
+        for name in ("from_man_exp", "_tolerance"):
+            real = getattr(hermite_mod, name)
+            monkeypatch.setattr(hermite_mod, name, lambda *a, real=real: calls.append(a) or real(*a))
+        for p_max in (11, 5, 1):
+            again = derivative_extremes(basis, p_max, y0)
+            assert len(again) == p_max
+            assert all(x is y for new, old in zip(again, first) for x, y in zip(new, old))
+        assert calls == []  # nothing rounded, no tolerance taken again
+
     def test_shallower_p_max_reads_a_prefix_and_deeper_builds_once(self, builds):
         basis = replace(hermite_fejer_basis(chebyshev2_knots(7, BITS)))
         y0 = ApFloat(F(-2, 9), BITS)
